@@ -306,8 +306,6 @@ def build_parser():
 
     def common(p, alphabet=False, prime=False, guard=False):
         p.add_argument("--machine", action="store_true", help="one key=value per line")
-        p.add_argument("--workers", type=int, default=1,
-                       help="reserved; solvers currently run single-threaded")
         if alphabet:
             p.add_argument("-s", type=int, default=2, help="alphabet size (>= 2)")
         if prime:

@@ -328,6 +328,18 @@ class MasResult:
     exact: bool
 
 
+def gf2_rank(rows):
+    """Rank over GF(2) of a matrix given as one int bit row per row."""
+    pivots = []
+    for row in rows:
+        for prow in pivots:
+            if row & prow & -prow:
+                row ^= prow
+        if row:
+            pivots.append(row)
+    return len(pivots)
+
+
 def _greedy_acyclic_set(d):
     # Pick ascending ids, discarding each pick's in-neighbourhood; edges
     # inside the result then all point forward, so it induces an acyclic
@@ -350,11 +362,18 @@ def mas_exact(d, budget=DEFAULT_MAS_BUDGET):
     exact and the witness is the lexicographically smallest optimum;
     once the budget is exhausted the best set found so far is returned
     with ``exact=False`` (still a valid acyclic witness).
+
+    The search stops as soon as it reaches the rank of I + A over GF(2):
+    the rows of I + A indexed by an acyclic set are independent (their
+    principal block is unitriangular in topological order), so no
+    acyclic set is larger.  The first set of that size in search order
+    is still the lexicographically smallest optimum.
     """
     n = d.n
     if n == 0:
         return MasResult(0, (), True)
     out_rows = d.out_rows()
+    cap = gf2_rank([row | (1 << v) for v, row in enumerate(out_rows)])
     best_size = 0
     best = ()
     members = []
@@ -381,6 +400,8 @@ def mas_exact(d, budget=DEFAULT_MAS_BUDGET):
 
     def dfs(idx, mask, count):
         nonlocal best_size, best, nodes, exhausted
+        if best_size == cap:
+            return
         nodes += 1
         if nodes > budget:
             exhausted = True

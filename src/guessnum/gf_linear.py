@@ -115,25 +115,11 @@ class GfMatrix:
         return f"GfMatrix({self.rows}x{self.cols}, p={self.p})"
 
 
-def _rank_bits(rows):
-    rank = 0
-    pivots = []
-    for row in rows:
-        for prow in pivots:
-            low = prow & -prow
-            if row & low:
-                row ^= prow
-        if row:
-            pivots.append(row)
-            rank += 1
-    return rank
-
-
 def rank_gfp(matrix):
     """Row-echelon rank over GF(p)."""
     p = matrix.p
     if p == 2:
-        return _rank_bits([sum(e << j for j, e in enumerate(row)) for row in matrix.entries])
+        return dg.gf2_rank([sum(e << j for j, e in enumerate(row)) for row in matrix.entries])
     work = [list(row) for row in matrix.entries]
     rank = 0
     rows, cols = matrix.rows, matrix.cols
@@ -283,14 +269,20 @@ class LinearGuessingResult:
 
 
 def _rank_of_support(d, p, coeffs):
-    # coeffs: {(u, v): value} on edges
+    """rank(I + A) for the coefficients ``{(u, v): value}`` on edges."""
     n = d.n
+    if p == 2:
+        rows = [1 << u for u in range(n)]
+        for (u, v), val in coeffs.items():
+            if val & 1:
+                rows[u] |= 1 << v
+        return dg.gf2_rank(rows)
     entries = [[0] * n for _ in range(n)]
     for i in range(n):
         entries[i][i] = 1
     for (u, v), val in coeffs.items():
         entries[u][v] = val % p
-    return rank_gfp(GfMatrix(entries, p)), GfMatrix(entries, p)
+    return rank_gfp(GfMatrix(entries, p))
 
 
 def _matrix_from_coeffs(d, p, coeffs):
@@ -303,7 +295,7 @@ def _matrix_from_coeffs(d, p, coeffs):
 
 def _descend(d, p, coeffs):
     """Greedy coordinate descent on rank(I + A), zeroing entries."""
-    best_rank, _ = _rank_of_support(d, p, coeffs)
+    best_rank = _rank_of_support(d, p, coeffs)
     improved = True
     while improved:
         improved = False
@@ -312,7 +304,7 @@ def _descend(d, p, coeffs):
                 continue
             saved = coeffs[edge]
             coeffs[edge] = 0
-            r, _ = _rank_of_support(d, p, coeffs)
+            r = _rank_of_support(d, p, coeffs)
             if r < best_rank:
                 best_rank = r
                 improved = True
@@ -321,26 +313,17 @@ def _descend(d, p, coeffs):
     return best_rank, dict(coeffs)
 
 
-def _bounded_lower(d, p):
-    """Best fixed-space dimension found by cheap candidate strategies.
-
-    Candidates: the all-ones strategy, greedy descent from it, a few
-    seeded random descents, and the all-ones-per-clique strategy from a
-    clique partition (each clique block of I + A collapses to rank 1).
-    Returns (dimension, witness, tag).
-    """
+def _lower_candidates(d, p):
     edges = d.edges()
-    candidates = []
     full = {e: 1 for e in edges}
-    r, _ = _rank_of_support(d, p, full)
-    candidates.append((d.n - r, dict(full), "all-ones"))
+    yield d.n - _rank_of_support(d, p, full), dict(full), "all-ones"
     r, coeffs = _descend(d, p, dict(full))
-    candidates.append((d.n - r, coeffs, "support-descent"))
+    yield d.n - r, coeffs, "support-descent"
     rng = random.Random(0)
     for _ in range(4):
         sample = {e: rng.randrange(p) for e in edges}
         r, coeffs = _descend(d, p, sample)
-        candidates.append((d.n - r, coeffs, "support-descent"))
+        yield d.n - r, coeffs, "support-descent"
     partition = dg.clique_partition_number(d)
     part_coeffs = {}
     for part in partition.parts:
@@ -348,19 +331,40 @@ def _bounded_lower(d, p):
             for v in part:
                 if u != v:
                     part_coeffs[(u, v)] = 1
-    r, _ = _rank_of_support(d, p, part_coeffs)
-    candidates.append((d.n - r, part_coeffs, "clique-partition"))
-    dim, coeffs, tag = max(candidates, key=lambda t: t[0])
+    yield d.n - _rank_of_support(d, p, part_coeffs), part_coeffs, "clique-partition"
+
+
+def _bounded_lower(d, p, upper=None):
+    """Best fixed-space dimension found by cheap candidate strategies.
+
+    Candidates, in order: the all-ones strategy, greedy descent from it,
+    a few seeded random descents, and the all-ones-per-clique strategy
+    from a clique partition (each clique block of I + A collapses to
+    rank 1).  The first candidate of the largest dimension wins.  Given
+    a proven ``upper`` bound on the linear guessing number, the search
+    stops at the first candidate that reaches it: no later candidate can
+    do strictly better, so the result is the same as without it.
+    Returns (dimension, witness, tag).
+    """
+    best = None
+    for cand in _lower_candidates(d, p):
+        if best is None or cand[0] > best[0]:
+            best = cand
+        if upper is not None and best[0] >= upper:
+            break
+    dim, coeffs, tag = best
     return dim, _matrix_from_coeffs(d, p, coeffs), tag
 
 
-def _min_rank_exhaustive(d, p, budget):
+def _min_rank_exhaustive(d, p, budget, floor=0):
     """Minimum rank(I + A) over every support-respecting A.
 
     Depth-first over vertices in ascending order; each vertex's row is
     e_v plus coefficients on its out-neighbours, enumerated with zero
     first, so the returned witness is the lexicographically first
-    optimal coefficient pattern.
+    optimal coefficient pattern.  ``floor`` is a proven lower bound on
+    the minimum rank; the search stops once it is reached, since no
+    later pattern can do strictly better.
     """
     n = d.n
     outs = [sorted(d.out_adj[v]) for v in range(n)]
@@ -380,7 +384,7 @@ def _min_rank_exhaustive(d, p, budget):
             return vec
 
         def dfs(v, rank, chosen):
-            if rank >= best[0]:
+            if rank >= best[0] or best[0] <= floor:
                 return
             if v == n:
                 best[0] = rank
@@ -417,7 +421,7 @@ def _min_rank_exhaustive(d, p, budget):
             return vec
 
         def dfs(v, rank, chosen):
-            if rank >= best[0]:
+            if rank >= best[0] or best[0] <= floor:
                 return
             if v == n:
                 best[0] = rank
@@ -452,15 +456,18 @@ def _min_rank_exhaustive(d, p, budget):
 def linear_guessing_number(d, p, budget=DEFAULT_LINEAR_BUDGET, exhaustive=None):
     """n minus the minimum rank of I + A over support-respecting A.
 
-    With ``exhaustive=None`` the pattern search only runs when cheap
-    lower and upper bounds fail to pinch the value and the pattern space
-    fits the budget; ``exhaustive=True`` forces the search (budget
-    permitting), ``exhaustive=False`` forbids it.  Inexact calls return
-    the bracketing interval with a witness for the lower end.
+    The cheap upper bounds come first (acyclic set, component count and,
+    without bidirectional edges, row counting).  The candidate strategies
+    of ``_bounded_lower`` then run until one meets the smallest upper
+    bound.  With ``exhaustive=None`` the pattern search only runs when
+    the bounds fail to pinch the value and the pattern space fits the
+    budget; ``exhaustive=True`` forces the search (budget permitting) in
+    place of the candidates, ``exhaustive=False`` forbids it.  The search
+    stops once its rank reaches n minus the upper bound.  Inexact calls
+    return the bracketing interval with a witness for the lower end.
     """
     _check_prime(p)
     n = d.n
-    lower, witness, lower_tag = _bounded_lower(d, p)
     scc = dg.strong_components(d)
     mas = dg.mas_exact(d)
     uppers = [(n - mas.size, "acyclic-set")]
@@ -471,16 +478,19 @@ def linear_guessing_number(d, p, budget=DEFAULT_LINEAR_BUDGET, exhaustive=None):
         for value, tag in _sparse_linear_uppers(d, p):
             uppers.append((floor(value + 1e-9), tag))
     upper, upper_tag = min(uppers, key=lambda t: t[0])
-    exact = lower >= upper
-    if exact:
-        upper = lower
-    run_search = exhaustive is True or (exhaustive is None and not exact)
-    if run_search and p ** d.edge_count() <= budget:
-        min_rank, witness = _min_rank_exhaustive(d, p, budget)
-        lower = upper = n - min_rank
-        lower_tag = upper_tag = "exhaustive"
-        exact = True
-    return LinearGuessingResult(lower, upper, witness, exact, (lower_tag, upper_tag))
+    fits = p ** d.edge_count() <= budget
+    if exhaustive is not True or not fits:
+        lower, witness, lower_tag = _bounded_lower(d, p, upper)
+        exact = lower >= upper
+        if exact:
+            upper = lower
+        if exact or exhaustive is False or not fits:
+            return LinearGuessingResult(
+                lower, upper, witness, exact, (lower_tag, upper_tag)
+            )
+    min_rank, witness = _min_rank_exhaustive(d, p, budget, floor=n - upper)
+    value = n - min_rank
+    return LinearGuessingResult(value, value, witness, True, ("exhaustive", "exhaustive"))
 
 
 def _johnson_pair_overlap(n, max_in):

@@ -60,6 +60,22 @@ def brute_mas(d):
     return best
 
 
+def brute_mas_witness(d):
+    """Lexicographically smallest maximum acyclic set; n <= 16 only."""
+    size = brute_mas(d)
+    return next(
+        vs for vs in itertools.combinations(range(d.n), size) if induces_acyclic(d, vs)
+    )
+
+
+def brute_rank_gf2(rows):
+    """GF(2) rank of int bit rows as log2 of the size of their span."""
+    span = {0}
+    for row in rows:
+        span |= {x ^ row for x in span}
+    return len(span).bit_length() - 1
+
+
 def brute_alpha(d, s):
     """Exhaustive maximum independent set of the configuration graph."""
     total = s**d.n

@@ -2,10 +2,17 @@ import random
 
 import pytest
 
+from guessnum import cyclic
 from guessnum import digraph as dg
 from guessnum.errors import BadParams, LoopEdge, VertexOutOfRange
 
-from oracles import brute_mas, induces_acyclic, random_digraph
+from oracles import (
+    brute_mas,
+    brute_mas_witness,
+    brute_rank_gf2,
+    induces_acyclic,
+    random_digraph,
+)
 
 
 def check_mirror(d):
@@ -148,6 +155,37 @@ class TestMas:
             assert res.size == brute_mas(d)
             assert induces_acyclic(d, res.witness)
             assert list(res.witness) == sorted(res.witness)
+
+    def check_smallest_witness(self, d):
+        res = dg.mas_exact(d)
+        assert res.exact
+        assert res.witness == brute_mas_witness(d)
+        rank = brute_rank_gf2([row | (1 << v) for v, row in enumerate(d.out_rows())])
+        assert res.size <= rank
+        return res, rank
+
+    def test_witness_is_the_smallest_optimum(self):
+        rng = random.Random(6)
+        for _ in range(60):
+            self.check_smallest_witness(random_digraph(rng, rng.randint(1, 9)))
+
+    def test_rank_cap_on_cyclic_divisors(self):
+        # the circulant of a divisor g of x^n + 1 has mas = n - deg(g) =
+        # rank(I + A) over GF(2), so the search stops at the rank cap
+        for n in range(2, 13):
+            xn1 = cyclic.x_power_plus_one(n)
+            for bits in range(1, 1 << n, 2):
+                g = cyclic.Gf2Poly(bits)
+                if g.degree < n and (xn1 % g).is_zero():
+                    d = cyclic.digraph_from_polynomial(g, n)
+                    res, rank = self.check_smallest_witness(d)
+                    assert res.size == rank == n - g.degree
+
+    def test_gf2_rank(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            rows = [rng.getrandbits(9) for _ in range(rng.randint(0, 9))]
+            assert dg.gf2_rank(rows) == brute_rank_gf2(rows)
 
     def test_floor_bound(self):
         rng = random.Random(9)

@@ -158,6 +158,50 @@ class TestLinearGuessingNumber:
                 assert value <= bound + 1e-9
 
 
+class TestStoppedSearches:
+    """The bound-stopped searches agree with the unstopped ones."""
+
+    @staticmethod
+    def digraphs(seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            yield random_digraph(rng, rng.randint(1, 5)), rng
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_bounded_lower_stop(self, p):
+        for d, _ in self.digraphs(50 + p):
+            full = gl._bounded_lower(d, p)
+            exact = gl.linear_guessing_number(d, p, exhaustive=True).value
+            for upper in (exact, d.n - dg.mas_exact(d).size):
+                assert gl._bounded_lower(d, p, upper) == full
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_exhaustive_floor(self, p):
+        budget = gl.DEFAULT_LINEAR_BUDGET
+        for d, _ in self.digraphs(60 + p):
+            rank, witness = gl._min_rank_exhaustive(d, p, budget)
+            for floor in (rank, dg.mas_exact(d).size):
+                assert gl._min_rank_exhaustive(d, p, budget, floor=floor) == (rank, witness)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_rank_of_support_matches_dense_rank(self, p):
+        for d, rng in self.digraphs(70 + p):
+            coeffs = {e: rng.randrange(p) for e in d.edges()}
+            entries = [[int(i == j) for j in range(d.n)] for i in range(d.n)]
+            for (u, v), val in coeffs.items():
+                entries[u][v] = val
+            dense = gl.rank_gfp(gl.GfMatrix(entries, p))
+            assert gl._rank_of_support(d, p, coeffs) == dense
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_bracket_and_witness_under_every_mode(self, p):
+        for d, _ in self.digraphs(80 + p):
+            for mode in (None, True, False):
+                res = gl.linear_guessing_number(d, p, exhaustive=mode)
+                assert res.lower <= res.upper
+                assert len(gl.fixed_space_basis(d, p, res.witness)) >= res.lower
+
+
 class TestProductLower:
     def test_triangle_square(self):
         bound, witness = gl.linear_product_lower(dg.cycle(3), dg.cycle(3), 2)
