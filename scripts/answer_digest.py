@@ -1,0 +1,88 @@
+"""Digest every configuration-graph answer of the benchmark's jobs.
+
+Runs each ``config_search`` and ``netcode_solve`` job of seeds 1 and 2
+against the package under ``<root>/src`` and prints one line per job:
+its index, its label and a SHA-256 of the pickled answer.  For
+``config_search`` the answer holds the ``MisResult``, the full
+``ChromaticResult`` (colouring included), the adjacency rows and the
+protocol's fixed configurations, with the benchmark's node budgets; for
+``netcode_solve`` it holds the ``SolvabilityResult`` and the
+``DefectResult`` (class partition included) of the merged digraph.
+
+To check that a change leaves every answer as it was, run it on two
+checkouts and compare the output::
+
+    python3 scripts/answer_digest.py --root <parent checkout> > parent.txt
+    python3 scripts/answer_digest.py --root . > change.txt
+    diff parent.txt change.txt
+
+The script re-executes itself under PYTHONHASHSEED=0, as the benchmark
+does, so that set iteration order cannot differ between the two runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import os
+import pickle
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+SEEDS = (1, 2)  # the benchmark's seeds
+
+
+class Library:
+    """The package's modules as attributes, the shape the workloads expect."""
+
+    def __init__(self):
+        for name in ("digraph", "guessing_graph", "_search", "solvers",
+                     "gf_linear", "cyclic", "netcode"):
+            setattr(self, name, importlib.import_module(f"guessnum.{name}"))
+
+
+def config_answer(lib, workloads, job):
+    d, s = job.data, job.s
+    handle = lib.guessing_graph.GuessingGraph(d, s)
+    mis = lib.solvers.max_independent_set(handle, node_budget=workloads.MIS_BUDGET)
+    chrom = lib.solvers.chromatic_number(
+        handle, mis_witness=mis.witness, node_budget=workloads.CHROMATIC_BUDGET
+    )
+    protocol = lib.solvers.protocol_from_independent_set(d, s, mis.witness)
+    fixed = lib.solvers.fixed_configurations(d, s, protocol)
+    return mis, chrom, handle.rows, fixed
+
+
+def netcode_answer(lib, workloads, job):
+    res = lib.netcode.solvable(job.data, job.s)
+    merged, _ = lib.netcode.to_guessing_digraph(job.data)
+    defect = None
+    if job.s**merged.n <= 1 << 14:
+        defect = lib.solvers.information_defect(merged, job.s)
+    return res, defect
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", default=str(HERE.parent),
+                        help="source checkout whose src/ package is digested")
+    args = parser.parse_args(argv)
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        os.execve(sys.executable, [sys.executable, __file__, *sys.argv[1:]], env)
+    root = Path(args.root).resolve()
+    sys.path[:0] = [str(root / "src"), str(HERE.parent / "guessbench")]
+    workloads = importlib.import_module("workloads")
+    lib = Library()
+    runners = {"config_search": config_answer, "netcode_solve": netcode_answer}
+    for seed in SEEDS:
+        for name, answer in runners.items():
+            for index, job in enumerate(workloads.WORKLOADS[name].build(lib, seed)):
+                digest = hashlib.sha256(pickle.dumps(answer(lib, workloads, job)))
+                print(f"{name} seed{seed} {index:4d} {job.label} {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -140,7 +140,17 @@ class GuessingGraph:
     # -- materialization ----------------------------------------------
 
     def materialize(self, guard=DEFAULT_GUARD):
-        """Build explicit adjacency rows; translation of the zero row."""
+        """Build explicit adjacency rows by translating the zero row.
+
+        The graph is a Cayley graph on Z_s^n, so row x is the zero row
+        translated by x.  Translating a row by the unit vector e_i, with
+        block = s^i, rotates the bit blocks inside each period s^(i+1):
+        the lower s-1 blocks move up by one block and the top block
+        wraps round to the bottom.  Rows are filled coordinate by
+        coordinate from ``rows[x + block] = rows[x] + e_i`` for every x
+        whose coordinate i is below s-1, one code path for every
+        alphabet.
+        """
         if self.rows is not None:
             return self
         if self.n_configs > guard:
@@ -150,27 +160,20 @@ class GuessingGraph:
                 needed=self.n_configs,
                 guard=guard,
             )
-        zero = self.zero_neighbors(guard=guard)
-        n, s, total = self.n, self.s, self.n_configs
+        s, total = self.s, self.n_configs
         rows = [0] * total
-        if s == 2:
-            for x in range(total):
-                row = 0
-                for z in zero:
-                    row |= 1 << (x ^ z)
-                rows[x] = row
-        else:
-            zero_words = [decode(z, n, s) for z in zero]
-            weights = [s**i for i in range(n)]
-            for x in range(total):
-                xw = decode(x, n, s)
-                row = 0
-                for zw in zero_words:
-                    y = 0
-                    for i in range(n):
-                        y += ((xw[i] + zw[i]) % s) * weights[i]
-                    row |= 1 << y
-                rows[x] = row
+        for z in self.zero_neighbors(guard=guard):
+            rows[0] |= 1 << z
+        every_bit = (1 << total) - 1
+        for i in range(self.n):
+            block = s**i
+            wrap = (s - 1) * block
+            # bits whose coordinate i is below s-1, in every period s^(i+1)
+            low = ((1 << wrap) - 1) * (every_bit // ((1 << block * s) - 1))
+            high = every_bit ^ low
+            for x in range(wrap):
+                r = rows[x]
+                rows[x + block] = ((r & low) << block) | ((r & high) >> wrap)
         self.rows = rows
         return self
 

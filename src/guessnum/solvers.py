@@ -339,12 +339,31 @@ class ChromaticResult:
 
 
 def _is_subgroup(codes, n, s):
+    """True iff the codes form a subgroup of Z_s^n (at most 4096 of them).
+
+    The subgroup is grown one generator at a time: adjoining g to a
+    subgroup H adds the cosets H + g, H + 2g, ... up to the first
+    multiple of g inside H.  Every element so generated must be one of
+    the codes, and every code is either generated or adjoined, so the
+    codes form a subgroup exactly when they equal what they generate.
+    """
     codes_set = set(codes)
     if 0 not in codes_set or len(codes_set) > 4096:
         return False
-    return all(
-        add_codes(a, b, n, s) in codes_set for a in codes_set for b in codes_set
-    )
+    group = {0}
+    for g in sorted(codes_set):
+        if g in group:
+            continue
+        cosets = []
+        step = g
+        while step not in group:
+            coset = {add_codes(h, step, n, s) for h in group}
+            if not coset <= codes_set:
+                return False
+            cosets.append(coset)
+            step = add_codes(step, g, n, s)
+        group = group.union(*cosets)
+    return True
 
 
 def _coset_coloring(handle, subgroup_codes):
@@ -376,8 +395,10 @@ def chromatic_number(handle, mis_witness=None, guard=DEFAULT_GUARD, node_budget=
     Lower bound: the clique of configurations agreeing outside a maximum
     acyclic set.  Upper candidates: coset colorings from subgroup
     independent sets (the all-ones linear strategy's fixed space, and
-    the supplied witness when it is a subgroup) and greedy DSATUR.  Any
-    gap is closed by iterative-deepening backtracking.
+    the supplied witness when it is a subgroup), tried first, and greedy
+    DSATUR, run only when no coset coloring meets the lower bound.  The
+    first candidate with the fewest colors seeds iterative-deepening
+    backtracking, which closes any gap left.
     """
     handle.materialize(guard=guard)
     d, s, total = handle.digraph, handle.s, handle.n_configs
@@ -389,8 +410,8 @@ def chromatic_number(handle, mis_witness=None, guard=DEFAULT_GUARD, node_budget=
             colors = _coset_coloring(handle, codes)
             if colors is not None and _proper(handle, colors):
                 candidates.append(colors)
-    greedy = _search.greedy_dsatur(handle.rows, total)
-    candidates.append(greedy)
+    if all(max(c) + 1 > lower for c in candidates):
+        candidates.append(_search.greedy_dsatur(handle.rows, total))
     initial = min(candidates, key=lambda c: max(c) + 1)
     chi, coloring, exact = _search.exact_chromatic(
         handle.rows, total, lower, initial, node_budget=node_budget

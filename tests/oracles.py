@@ -175,6 +175,23 @@ def brute_chromatic(rows, n):
     return chi(full)
 
 
+def brute_is_subgroup(codes, n, s):
+    """Closure check: 0 is a member and every pairwise sum mod s is too.
+
+    In a finite group a nonempty subset closed under addition is a
+    subgroup, so this decides subgroup membership without a size cap.
+    """
+    members = set(codes)
+    if 0 not in members:
+        return False
+    words = [decode(c, n, s) for c in members]
+    return all(
+        encode(tuple((u + v) % s for u, v in zip(a, b)), s) in members
+        for a in words
+        for b in words
+    )
+
+
 def random_digraph(rng, n, p=0.4):
     edges = [
         (u, v)

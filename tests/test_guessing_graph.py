@@ -159,6 +159,43 @@ class TestMaterialize:
                     m ^= low
 
 
+def _materialize_cases():
+    """Seeded digraphs at s = 2..5 with s^n <= 256, plus the edge cases."""
+    rng = random.Random(12)
+    cases = [(dg.Digraph(0, []), 2), (dg.Digraph(0, []), 5)]
+    for s, top in ((2, 8), (3, 5), (4, 4), (5, 3)):
+        cases.append((dg.Digraph(1, []), s))
+        cases.append((dg.Digraph(top, []), s))  # edgeless: the complete graph
+        for n in range(2, top + 1):
+            cases.append((random_digraph(rng, n, p=rng.choice([0.3, 0.6])), s))
+    return [
+        pytest.param(d, s, id=f"s{s}-n{d.n}-e{len(d.edges())}") for d, s in cases
+    ]
+
+
+class TestMaterializeExhaustive:
+    @pytest.mark.parametrize("d,s", _materialize_cases())
+    def test_every_pair_matches_the_definition(self, d, s):
+        h = gg.materialize(d, s)
+        assert len(h.rows) == s**d.n
+        for x in range(h.n_configs):
+            expected = 0
+            for y in range(h.n_configs):
+                if brute_adjacent(d, s, x, y):
+                    expected |= 1 << y
+            assert h.rows[x] == expected
+
+    @pytest.mark.parametrize("d,s", _materialize_cases())
+    def test_every_row_is_the_zero_row_translated(self, d, s):
+        h = gg.materialize(d, s)
+        zero = [y for y in range(h.n_configs) if (h.rows[0] >> y) & 1]
+        for x in range(h.n_configs):
+            translated = 0
+            for z in zero:
+                translated |= 1 << gg.add_codes(x, z, d.n, s)
+            assert h.rows[x] == translated
+
+
 class TestSymmetries:
     def test_translation(self):
         rng = random.Random(7)

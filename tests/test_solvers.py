@@ -11,7 +11,9 @@ from guessnum.errors import NotIndependent, SizeGuard
 
 from oracles import (
     brute_alpha,
+    brute_chromatic,
     brute_code_size,
+    brute_is_subgroup,
     cartesian_adjacent,
     co_normal_adjacent,
     gf4_evaluation_code,
@@ -149,6 +151,48 @@ class TestColoring:
             assert res.exact
             assert res.chi == brute_chromatic(h.rows, h.n_configs)
 
+    def test_coset_colorings_skip_dsatur_on_cycles_and_cliques(self, monkeypatch):
+        # the closed forms chi(C_n) = s^(n-1) and chi(K_n) = s are met by
+        # the cosets of the all-ones fixed space or of the MIS witness
+        def refuse(rows, n):
+            raise AssertionError("greedy_dsatur ran although a coset coloring met the bound")
+
+        monkeypatch.setattr(solvers._search, "greedy_dsatur", refuse)
+        for s in (2, 3):
+            for n in (2, 3, 4):
+                for d, chi in ((dg.cycle(n), s ** (n - 1)), (dg.clique(n), s)):
+                    h = handle(d, s)
+                    mis = solvers.max_independent_set(h)
+                    res = solvers.chromatic_number(h, mis_witness=mis.witness)
+                    assert res.chi == chi
+                    assert res.exact
+
+    def test_dsatur_runs_when_cosets_leave_a_gap(self, monkeypatch):
+        calls = []
+        greedy = solvers._search.greedy_dsatur
+
+        def counted(rows, n):
+            calls.append(n)
+            return greedy(rows, n)
+
+        monkeypatch.setattr(solvers._search, "greedy_dsatur", counted)
+        # K_3 over [3]: the all-ones fixed space is {0}, whose cosets use
+        # all 27 colors, three times the bound
+        res = solvers.chromatic_number(handle(dg.clique(3), 3))
+        assert calls == [27]
+        assert (res.chi, res.exact) == (3, True)
+        rng = random.Random(36)
+        gaps = 0
+        for _ in range(20):
+            d = random_digraph(rng, 3, p=0.6)
+            h = handle(d, 2).materialize()
+            before = len(calls)
+            res = solvers.chromatic_number(h)
+            gaps += len(calls) - before
+            assert res.exact
+            assert res.chi == brute_chromatic(h.rows, h.n_configs)
+        assert gaps >= 3
+
     def test_classes_are_conflict_free(self):
         rng = random.Random(25)
         for _ in range(8):
@@ -159,6 +203,56 @@ class TestColoring:
             for cls in res.classes:
                 for a, b in itertools.combinations(cls, 2):
                     assert not h.adjacent(a, b)
+
+
+def _span(gens, n, s):
+    """Subgroup of Z_s^n generated by ``gens``, by closure under addition."""
+    group = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = gg.add_codes(x, g, n, s)
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    return group
+
+
+class TestIsSubgroup:
+    def test_matches_closure_oracle(self):
+        rng = random.Random(41)
+        checked = {True: 0, False: 0}
+        for s in (2, 3, 4, 5, 6):
+            for _ in range(30):
+                n = rng.randint(1, 3 if s > 3 else 4)
+                total = s**n
+                gens = [rng.randrange(total) for _ in range(rng.randint(0, 2))]
+                group = _span(gens, n, s)
+                outside = [x for x in range(total) if x not in group]
+                cases = [group, group - {0}]
+                if len(group) > 1:
+                    cases.append(group - {rng.choice(sorted(group - {0}))})
+                if outside:
+                    cases.append(group | {rng.choice(outside)})
+                cases.append({0} | set(rng.sample(range(total), rng.randint(0, total - 1))))
+                for codes in cases:
+                    expected = brute_is_subgroup(codes, n, s)
+                    assert solvers._is_subgroup(sorted(codes), n, s) == expected
+                    checked[expected] += 1
+        assert min(checked.values()) >= 100
+
+    def test_real_subgroups_are_accepted(self):
+        assert solvers._is_subgroup([0], 3, 2)
+        even = [gg.encode(w, 4) for w in ((0, 0), (2, 0), (0, 2), (2, 2))]
+        assert solvers._is_subgroup(even, 2, 4)  # 2Z_4 x 2Z_4
+        assert not solvers._is_subgroup(even[:3], 2, 4)
+        assert solvers._is_subgroup(range(36), 2, 6)
+
+    def test_above_the_cap_is_rejected(self):
+        # Z_2^13 is a subgroup of itself, but its 8192 codes exceed the cap
+        assert not solvers._is_subgroup(range(1 << 13), 13, 2)
+        assert solvers._is_subgroup(range(1 << 12), 12, 2)
 
 
 class TestProtocols:
