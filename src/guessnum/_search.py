@@ -126,42 +126,33 @@ def find_k_coloring(rows, n, k, node_budget=None):
     Returns (colouring_or_None, complete).  A None with complete=True is
     a proof that no k-colouring exists; with complete=False the budget
     ran out first (budget None = complete search).
+
+    The next vertex has the most distinct neighbour colours, then the
+    highest degree, then the lowest index; colours are tried ascending,
+    and a new one only after every colour in use.  The state is bitmasks:
+    ``seen[c]`` holds the vertices with a neighbour coloured c, and
+    ``level[j]`` the uncoloured vertices that see j colours, so a node
+    costs O(k) mask operations instead of a scan of every vertex.
     """
     colors = [-1] * n
-    neighbor_colors = [set() for _ in range(n)]
-    degrees = [rows[v].bit_count() for v in range(n)]
+    seen = [0] * k
+    level = [(1 << n) - 1] + [0] * k
+    by_degree = {}
+    for v in range(n):
+        d = rows[v].bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    degree_masks = [by_degree[d] for d in sorted(by_degree, reverse=True)]
     nodes = 0
     exhausted = False
 
-    def pick():
-        best_v = -1
-        best_key = None
-        for v in range(n):
-            if colors[v] >= 0:
-                continue
-            key = (len(neighbor_colors[v]), degrees[v], -v)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_v = v
-        return best_v
-
-    def assign(v, c):
-        colors[v] = c
-        touched = []
-        m = rows[v]
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            if colors[w] < 0 and c not in neighbor_colors[w]:
-                neighbor_colors[w].add(c)
-                touched.append(w)
-            m ^= low
-        return touched
-
-    def undo(v, c, touched):
-        colors[v] = -1
-        for w in touched:
-            neighbor_colors[w].discard(c)
+    def pick(used):
+        j = used
+        while not level[j]:
+            j -= 1
+        for mask in degree_masks:
+            m = level[j] & mask
+            if m:
+                return (m & -m).bit_length() - 1, j
 
     def backtrack(colored, used):
         nonlocal nodes, exhausted
@@ -171,15 +162,26 @@ def find_k_coloring(rows, n, k, node_budget=None):
             return False
         if colored == n:
             return True
-        v = pick()
-        limit = min(used + 1, k)
-        for c in range(limit):
-            if c in neighbor_colors[v]:
+        v, j = pick(used)
+        bit = 1 << v
+        level[j] ^= bit
+        saved = level[:]
+        for c in range(min(used + 1, k)):
+            before = seen[c]
+            if before & bit:
                 continue
-            touched = assign(v, c)
+            colors[v] = c
+            fresh = rows[v] & ~before
+            for i in range(used, -1, -1):
+                moved = level[i] & fresh
+                if moved:
+                    level[i] ^= moved
+                    level[i + 1] |= moved
+            seen[c] = before | rows[v]
             if backtrack(colored + 1, max(used, c + 1)):
                 return True
-            undo(v, c, touched)
+            seen[c] = before
+            level[:] = saved
             if exhausted:
                 return False
         return False

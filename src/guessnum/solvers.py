@@ -389,11 +389,14 @@ def _proper(handle, colors):
     return all(handle.rows[x] & masks[colors[x]] == 0 for x in range(handle.n_configs))
 
 
-def chromatic_number(handle, mis_witness=None, guard=DEFAULT_GUARD, node_budget=None):
+def chromatic_number(handle, mis_witness=None, guard=DEFAULT_GUARD, node_budget=None,
+                     alpha_upper=None):
     """Minimum number of fixable classes covering every configuration.
 
-    Lower bound: the clique of configurations agreeing outside a maximum
-    acyclic set.  Upper candidates: coset colorings from subgroup
+    Lower bounds: the clique of configurations agreeing outside a maximum
+    acyclic set, and, given ``alpha_upper`` (any upper bound on the
+    largest independent set), s^n / alpha_upper rounded up, since every
+    class is independent.  Upper candidates: coset colorings from subgroup
     independent sets (the all-ones linear strategy's fixed space, and
     the supplied witness when it is a subgroup), tried first, and greedy
     DSATUR, run only when no coset coloring meets the lower bound.  The
@@ -404,6 +407,8 @@ def chromatic_number(handle, mis_witness=None, guard=DEFAULT_GUARD, node_budget=
     d, s, total = handle.digraph, handle.s, handle.n_configs
     mas = dg.mas_exact(d)
     lower = s**mas.size
+    if alpha_upper:
+        lower = max(lower, -(-total // alpha_upper))
     candidates = []
     for codes in filter(None, [_linear_seed_codes(d, s), mis_witness]):
         if _is_subgroup(codes, handle.n, s):
@@ -442,7 +447,10 @@ def information_defect(d, s, guard=DEFAULT_GUARD):
     """
     handle = GuessingGraph(d, s).materialize(guard=guard)
     mis = max_independent_set(handle, guard=guard)
-    chrom = chromatic_number(handle, mis_witness=mis.witness, guard=guard)
+    chrom = chromatic_number(
+        handle, mis_witness=mis.witness, guard=guard,
+        alpha_upper=mis.alpha if mis.exact else None,
+    )
     classes = {}
     for x, c in enumerate(chrom.coloring):
         classes.setdefault(c, []).append(x)

@@ -175,6 +175,58 @@ def brute_chromatic(rows, n):
     return chi(full)
 
 
+def dsatur_backtrack(rows, n, k, node_budget=None):
+    """Backtracking k-colouring in DSATUR order, one set per vertex.
+
+    The plain statement of the visit order ``_search.find_k_coloring``
+    keeps: the next vertex has the most distinct neighbour colours, then
+    the highest degree, then the lowest index, found by scanning every
+    vertex; colours ascend, a new one only after every colour in use.
+    Every call to the inner search counts one node against the budget.
+    Returns (colouring_or_None, complete).
+    """
+    colors = [-1] * n
+    neighbor_colors = [set() for _ in range(n)]
+    degrees = [rows[v].bit_count() for v in range(n)]
+    nodes = 0
+    exhausted = False
+
+    def search(colored, used):
+        nonlocal nodes, exhausted
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            exhausted = True
+            return False
+        if colored == n:
+            return True
+        v = max(
+            (u for u in range(n) if colors[u] < 0),
+            key=lambda u: (len(neighbor_colors[u]), degrees[u], -u),
+        )
+        for c in range(min(used + 1, k)):
+            if c in neighbor_colors[v]:
+                continue
+            colors[v] = c
+            touched = [
+                w for w in range(n)
+                if rows[v] >> w & 1 and colors[w] < 0 and c not in neighbor_colors[w]
+            ]
+            for w in touched:
+                neighbor_colors[w].add(c)
+            if search(colored + 1, max(used, c + 1)):
+                return True
+            colors[v] = -1
+            for w in touched:
+                neighbor_colors[w].discard(c)
+            if exhausted:
+                return False
+        return False
+
+    if search(0, 0):
+        return list(colors), True
+    return None, not exhausted
+
+
 def brute_is_subgroup(codes, n, s):
     """Closure check: 0 is a member and every pairwise sum mod s is too.
 

@@ -193,6 +193,37 @@ class TestColoring:
             assert res.chi == brute_chromatic(h.rows, h.n_configs)
         assert gaps >= 3
 
+    def test_independence_bound_skips_refuted_counts(self, monkeypatch):
+        # the undirected pentagon over [2]: mas 2 gives chi >= 4, while
+        # alpha = 5 gives chi >= ceil(32 / 5) = 7
+        pentagon = dg.from_edge_list(5, [(i, (i + j) % 5) for i in range(5) for j in (1, 4)])
+        tried = []
+        search = solvers._search.find_k_coloring
+
+        def recorded(rows, n, k, node_budget=None):
+            tried.append(k)
+            return search(rows, n, k, node_budget=node_budget)
+
+        monkeypatch.setattr(solvers._search, "find_k_coloring", recorded)
+        h = handle(pentagon, 2)
+        mis = solvers.max_independent_set(h)
+        assert (mis.alpha, mis.exact) == (5, True)
+        plain = solvers.chromatic_number(h, mis_witness=mis.witness)
+        assert min(tried) == 4
+        tried.clear()
+        bounded = solvers.chromatic_number(h, mis_witness=mis.witness, alpha_upper=mis.alpha)
+        assert min(tried) == 7
+        assert bounded == plain
+        assert bounded.chi == 8 and bounded.exact
+        tried.clear()
+        defect = solvers.information_defect(pentagon, 2)
+        assert min(tried) == 7
+        assert defect.chi == 8
+        assert defect.classes == tuple(
+            tuple(x for x, c in enumerate(plain.coloring) if c == color)
+            for color in range(plain.chi)
+        )
+
     def test_classes_are_conflict_free(self):
         rng = random.Random(25)
         for _ in range(8):
