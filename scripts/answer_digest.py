@@ -1,13 +1,15 @@
-"""Digest every configuration-graph answer of the benchmark's jobs.
+"""Digest every answer of the benchmark's jobs.
 
-Runs each ``config_search`` and ``netcode_solve`` job of seeds 1 and 2
-against the package under ``<root>/src`` and prints one line per job:
-its index, its label and a SHA-256 of the pickled answer.  For
-``config_search`` the answer holds the ``MisResult``, the full
-``ChromaticResult`` (colouring included), the adjacency rows and the
-protocol's fixed configurations, with the benchmark's node budgets; for
-``netcode_solve`` it holds the ``SolvabilityResult`` and the
-``DefectResult`` (class partition included) of the merged digraph.
+Runs each ``config_search``, ``netcode_solve`` and ``cyclic_sweep`` job
+of seeds 1 and 2 against the package under ``<root>/src`` and prints
+one line per job: its index, its label and a SHA-256 of the pickled
+answer.  For ``config_search`` the answer holds the ``MisResult``, the
+full ``ChromaticResult`` (colouring included), the adjacency rows and
+the protocol's fixed configurations, with the benchmark's node budgets;
+for ``netcode_solve`` it holds the ``SolvabilityResult`` and the
+``DefectResult`` (class partition included) of the merged digraph; for
+``cyclic_sweep`` it is the benchmark's own answer (the polynomial
+report, the bounds report and the linear guessing number).
 
 To check that a change leaves every answer as it was, run it on two
 checkouts and compare the output::
@@ -64,6 +66,10 @@ def netcode_answer(lib, workloads, job):
     return res, defect
 
 
+def cyclic_answer(lib, workloads, job):
+    return workloads.run_cyclic(lib, job)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=str(HERE.parent),
@@ -76,7 +82,8 @@ def main(argv=None):
     sys.path[:0] = [str(root / "src"), str(HERE.parent / "guessbench")]
     workloads = importlib.import_module("workloads")
     lib = Library()
-    runners = {"config_search": config_answer, "netcode_solve": netcode_answer}
+    runners = {"config_search": config_answer, "netcode_solve": netcode_answer,
+               "cyclic_sweep": cyclic_answer}
     for seed in SEEDS:
         for name, answer in runners.items():
             for index, job in enumerate(workloads.WORKLOADS[name].build(lib, seed)):

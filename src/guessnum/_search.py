@@ -31,13 +31,14 @@ def _clique_cover_bound(rows, candidates):
     return cliques
 
 
-def max_independent_set(rows, n, cover_masks=None, seed_mask=0, node_budget=None):
+def max_independent_set(rows, n, bound=None, seed_mask=0, node_budget=None):
     """Exact maximum independent set on a bitmask graph.
 
-    ``cover_masks``: optional precomputed clique cover; the number of
-    cover classes meeting the candidate set bounds the branch.  Without
-    one, a greedy clique cover is rebuilt per node.  ``seed_mask`` is a
-    known independent set used only to tighten the initial bound; the
+    ``bound``: optional function from a candidate mask to an upper bound
+    on the independent sets inside it, such as the number of classes of
+    a fixed clique cover that the candidates meet.  Without one, a
+    greedy clique cover is rebuilt per node.  ``seed_mask`` is a known
+    independent set used only to tighten the initial bound; the
     returned witness is the lexicographically smallest optimum (as a
     sorted vertex tuple).
 
@@ -50,10 +51,7 @@ def max_independent_set(rows, n, cover_masks=None, seed_mask=0, node_budget=None
     nodes = 0
     exhausted = False
 
-    if cover_masks is not None:
-        def bound(candidates):
-            return sum(1 for cm in cover_masks if cm & candidates)
-    else:
+    if bound is None:
         def bound(candidates):
             return _clique_cover_bound(rows, candidates)
 

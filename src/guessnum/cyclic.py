@@ -118,14 +118,6 @@ class Gf2Poly:
         return f"Gf2Poly({self.to_terms()})"
 
 
-def poly_mul(a, b):
-    return a * b
-
-
-def poly_divmod(a, b):
-    return divmod(a, b)
-
-
 def poly_gcd(a, b):
     return a.gcd(b)
 

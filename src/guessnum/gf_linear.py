@@ -63,10 +63,6 @@ class GfMatrix:
     def identity(cls, n, p):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], p)
 
-    @classmethod
-    def zeros(cls, rows, cols, p):
-        return cls([[0] * cols for _ in range(rows)], p)
-
     def transpose(self):
         return GfMatrix(list(zip(*self.entries)) if self.entries else [], self.p)
 
@@ -115,55 +111,43 @@ class GfMatrix:
         return f"GfMatrix({self.rows}x{self.cols}, p={self.p})"
 
 
-def rank_gfp(matrix):
-    """Row-echelon rank over GF(p)."""
-    p = matrix.p
-    if p == 2:
-        return dg.gf2_rank([sum(e << j for j, e in enumerate(row)) for row in matrix.entries])
-    work = [list(row) for row in matrix.entries]
-    rank = 0
-    rows, cols = matrix.rows, matrix.cols
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = pow(work[r][c], p - 2, p)
-        work[r] = [(e * inv) % p for e in work[r]]
-        for i in range(rows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[r])]
-        rank += 1
-        r += 1
-        if r == rows:
-            break
-    return rank
+def _eliminate(matrix):
+    """Reduced row echelon form over GF(p): (rows, pivot columns).
 
-
-def nullspace_gfp(matrix):
-    """Basis of the right nullspace over GF(p), as coordinate tuples."""
+    Row i has a 1 in the i-th pivot column and 0 in the other ones.
+    """
     p = matrix.p
-    rows, cols = matrix.rows, matrix.cols
     work = [list(row) for row in matrix.entries]
     pivot_cols = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if work[i][c]), None)
+    for c in range(matrix.cols):
+        r = len(pivot_cols)
+        if r == matrix.rows:
+            break
+        pivot = next((i for i in range(r, matrix.rows) if work[i][c]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
         inv = pow(work[r][c], p - 2, p)
         work[r] = [(e * inv) % p for e in work[r]]
-        for i in range(rows):
+        for i in range(matrix.rows):
             if i != r and work[i][c]:
                 f = work[i][c]
                 work[i] = [(a - f * b) % p for a, b in zip(work[i], work[r])]
         pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
+    return work, pivot_cols
+
+
+def rank_gfp(matrix):
+    """Row-echelon rank over GF(p)."""
+    if matrix.p == 2:
+        return dg.gf2_rank([sum(e << j for j, e in enumerate(row)) for row in matrix.entries])
+    return len(_eliminate(matrix)[1])
+
+
+def nullspace_gfp(matrix):
+    """Basis of the right nullspace over GF(p), as coordinate tuples."""
+    p, cols = matrix.p, matrix.cols
+    work, pivot_cols = _eliminate(matrix)
     free_cols = [c for c in range(cols) if c not in pivot_cols]
     basis = []
     for fc in free_cols:
@@ -204,20 +188,14 @@ class ParityCheckResult:
 def parity_check_protocol(d):
     """Fixed space of the all-ones GF(2) strategy: x_v = sum of in-values.
 
-    Returns the nullspace of I + A^T over GF(2) as configuration codes;
-    every basis vector is re-verified as a literal fixed point.
+    Returns the nullspace of I + A^T over GF(2) as configuration codes,
+    the basis of :func:`full_support_fixed_basis` (which re-verifies
+    every vector as a literal fixed point) at p = 2.
     """
-    n = d.n
-    h = identity_plus(d, 2).transpose()
-    basis = nullspace_gfp(h)
-    codes = []
-    for vec in basis:
-        for v in range(n):
-            total = sum(vec[u] for u in d.in_adj[v]) % 2
-            if total != vec[v]:
-                raise AssertionError("parity basis vector is not fixed")
-        codes.append(sum(b << i for i, b in enumerate(vec)))
-    return ParityCheckResult(len(codes), tuple(sorted(codes)))
+    codes = sorted(
+        sum(b << i for i, b in enumerate(vec)) for vec in full_support_fixed_basis(d, 2)
+    )
+    return ParityCheckResult(len(codes), tuple(codes))
 
 
 def _full_support_matrix(d, p):

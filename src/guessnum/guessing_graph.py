@@ -14,8 +14,6 @@ configuration.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import AlphabetMismatch, BadParams, SizeGuard
 
 DEFAULT_GUARD = 1 << 22
@@ -50,10 +48,20 @@ def add_codes(a, b, n, s):
     return encode(tuple((u + v) % s for u, v in zip(xa, xb)), s)
 
 
-def negate_code(a, n, s):
-    if s == 2:
-        return a
-    return encode(tuple((-u) % s for u in decode(a, n, s)), s)
+def coordinate_masks(n, s):
+    """``E[j][a]``: the bitmask of the codes whose coordinate j equals a.
+
+    Coordinate j is constant on runs of s^j consecutive codes and
+    cycles through [s] with period s^(j+1), so ``E[j][a]`` is one run
+    of s^j ones at offset a * s^j, tiled with that period.
+    """
+    every_bit = (1 << s**n) - 1
+    masks = []
+    for j in range(n):
+        block = s**j
+        zero = ((1 << block) - 1) * (every_bit // ((1 << block * s) - 1))
+        masks.append([zero << a * block for a in range(s)])
+    return masks
 
 
 class GuessingGraph:
@@ -109,24 +117,18 @@ class GuessingGraph:
             )
         if self.rows is not None:
             return _mask_to_set(self.rows[x])
-        s, n = self.s, self.n
-        xs = decode(x, n, s)
-        out = set()
-        for i in range(n):
-            fixed = set(self.digraph.in_adj[i]) | {i}
-            free = [j for j in range(n) if j not in fixed]
-            for yi in range(s):
-                if yi == xs[i]:
-                    continue
-                base = list(xs)
-                base[i] = yi
-                for combo in itertools.product(range(s), repeat=len(free)):
-                    word = list(base)
-                    for j, val in zip(free, combo):
-                        word[j] = val
-                    out.add(encode(word, s))
-        out.discard(x)
-        return out
+        # y is a neighbour when, for some vertex i, y agrees with x on
+        # every in-neighbour of i but differs from x at i itself
+        xs = decode(x, self.n, self.s)
+        masks = coordinate_masks(self.n, self.s)
+        every_bit = (1 << self.n_configs) - 1
+        row = 0
+        for i in range(self.n):
+            agree = every_bit
+            for j in self.digraph.in_adj[i]:
+                agree &= masks[j][xs[j]]
+            row |= agree & ~masks[i][xs[i]]
+        return _mask_to_set(row)
 
     def zero_neighbors(self, guard=DEFAULT_GUARD):
         if self._zero_neighbors is None:
@@ -165,12 +167,12 @@ class GuessingGraph:
         for z in self.zero_neighbors(guard=guard):
             rows[0] |= 1 << z
         every_bit = (1 << total) - 1
+        masks = coordinate_masks(self.n, s)
         for i in range(self.n):
             block = s**i
             wrap = (s - 1) * block
-            # bits whose coordinate i is below s-1, in every period s^(i+1)
-            low = ((1 << wrap) - 1) * (every_bit // ((1 << block * s) - 1))
-            high = every_bit ^ low
+            high = masks[i][s - 1]
+            low = every_bit ^ high
             for x in range(wrap):
                 r = rows[x]
                 rows[x + block] = ((r & low) << block) | ((r & high) >> wrap)

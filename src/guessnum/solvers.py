@@ -20,7 +20,9 @@ from .errors import BadParams, NotIndependent, SizeGuard
 from .guessing_graph import (
     DEFAULT_GUARD,
     GuessingGraph,
+    _mask_to_set,
     add_codes,
+    coordinate_masks,
     decode,
     degree_closed_form,
     encode,
@@ -109,8 +111,30 @@ def protocol_from_independent_set(d, s, configs):
     return Protocol(n, s, inputs, tables)
 
 
+def _word_masks(masks, inputs, every_bit):
+    """``W[w]``: the codes on which ``inputs`` read the word of index w
+    (first input least significant, as in :meth:`Protocol.word_index`)."""
+    words = [every_bit]
+    for u in inputs:
+        words = [m & w for m in masks[u] for w in words]
+    return words
+
+
+def _table_fixes(words, own, table):
+    """Codes on which vertex v's table returns x_v: OR of W[w] & E[v][table[w]]."""
+    mask = 0
+    for word, symbol in zip(words, table):
+        mask |= word & own[symbol]
+    return mask
+
+
 def fixed_configurations(d, s, protocol, guard=DEFAULT_GUARD):
-    """All configuration codes mapped to themselves by the protocol."""
+    """All configuration codes mapped to themselves by the protocol.
+
+    The fixed set is the AND over vertices of the codes each table
+    fixes (:func:`_table_fixes`), on bitmasks of all s^n codes; the
+    codes come back in ascending order.
+    """
     if protocol.n != d.n or protocol.s != s:
         raise BadParams("protocol shape does not match digraph/alphabet")
     if protocol.inputs != _protocol_inputs(d):
@@ -122,7 +146,13 @@ def fixed_configurations(d, s, protocol, guard=DEFAULT_GUARD):
             needed=total,
             guard=guard,
         )
-    return tuple(code for code in range(total) if protocol.fixes(code))
+    masks = coordinate_masks(d.n, s)
+    every_bit = (1 << total) - 1
+    fixed = every_bit
+    for v in range(d.n):
+        words = _word_masks(masks, protocol.inputs[v], every_bit)
+        fixed &= _table_fixes(words, masks[v], protocol.tables[v])
+    return tuple(sorted(_mask_to_set(fixed)))
 
 
 def exhaustive_best_protocol(d, s, limit=10_000_000):
@@ -142,25 +172,16 @@ def exhaustive_best_protocol(d, s, limit=10_000_000):
                 needed=total,
                 guard=limit,
             )
-    n_configs = s**n
     inputs = _protocol_inputs(d)
-    helper = Protocol(n, s, inputs, ())
-    all_symbols = [decode(x, n, s) for x in range(n_configs)]
-    word_of = [
-        [helper.word_index(all_symbols[x], v) for x in range(n_configs)]
-        for v in range(n)
-    ]
+    masks = coordinate_masks(n, s)
+    every_bit = (1 << s**n) - 1
     per_vertex = []
     for v in range(n):
-        size = s ** len(inputs[v])
-        options = []
-        for table in itertools.product(range(s), repeat=size):
-            mask = 0
-            for x in range(n_configs):
-                if table[word_of[v][x]] == all_symbols[x][v]:
-                    mask |= 1 << x
-            options.append((mask, table))
-        per_vertex.append(options)
+        words = _word_masks(masks, inputs[v], every_bit)
+        per_vertex.append([
+            (_table_fixes(words, masks[v], table), table)
+            for table in itertools.product(range(s), repeat=len(words))
+        ])
 
     best = [0, None]
 
@@ -176,7 +197,7 @@ def exhaustive_best_protocol(d, s, limit=10_000_000):
             dfs(v + 1, acc & mask, chosen)
             chosen.pop()
 
-    dfs(0, (1 << n_configs) - 1, [])
+    dfs(0, every_bit, [])
     protocol = Protocol(n, s, inputs, best[1]) if best[1] is not None else None
     return best[0], protocol
 
@@ -193,21 +214,27 @@ class MisResult:
 
 
 def _exterior_clique_cover(handle, mas_witness):
-    """Partition configurations by their word outside an acyclic set.
+    """Branch bound: how many cover classes a candidate mask meets.
 
     Configurations agreeing outside an acyclic induced set mutually
-    conflict, so each class is a clique of size s^len(set).
+    conflict, so each class is a clique of size s^len(set).  Folding
+    the mask along each coordinate i of the set (OR of its shifts down
+    by t * s^i, t < s, kept where coordinate i is 0) leaves one bit per
+    class met, so the count is a popcount.
     """
-    n, s = handle.n, handle.s
-    exterior = [v for v in range(n) if v not in set(mas_witness)]
-    buckets = {}
-    for x in range(handle.n_configs):
-        symbols = decode(x, n, s)
-        key = 0
-        for j in reversed(exterior):
-            key = key * s + symbols[j]
-        buckets[key] = buckets.get(key, 0) | (1 << x)
-    return list(buckets.values())
+    s = handle.s
+    masks = coordinate_masks(handle.n, s)
+    folds = [(masks[i][0], [t * s**i for t in range(1, s)]) for i in mas_witness]
+
+    def bound(candidates):
+        for zero, shifts in folds:
+            folded = candidates
+            for shift in shifts:
+                folded |= candidates >> shift
+            candidates = folded & zero
+        return candidates.bit_count()
+
+    return bound
 
 
 def _linear_seed_codes(d, s):
@@ -231,10 +258,12 @@ def max_independent_set(handle, mode="exact", guard=DEFAULT_GUARD, node_budget=N
     """Largest set of mutually fixable configurations.
 
     Exact mode materializes the graph (guarded) and runs branch and
-    bound, bounded by the clique cover induced by a maximum acyclic set
-    and seeded by the all-ones linear strategy when the alphabet is
-    prime.  Bounded mode reports a bracketing interval without
-    materializing.
+    bound, bounded by the classes of the clique cover from a maximum
+    acyclic set that a branch's candidates meet, and seeded by the
+    all-ones linear strategy when the alphabet is prime.  The witness
+    is the lexicographically smallest optimum, re-verified; ``exact``
+    is False when ``node_budget`` ran out.  Bounded mode reports a
+    bracketing interval without materializing.
     """
     d, s = handle.digraph, handle.s
     mas = dg.mas_exact(d)
@@ -244,20 +273,15 @@ def max_independent_set(handle, mode="exact", guard=DEFAULT_GUARD, node_budget=N
         witness = seed if seed else (0,)
         return MisResult(lower, witness, False, upper=s ** (d.n - mas.size))
     handle.materialize(guard=guard)
-    cover = _exterior_clique_cover(handle, mas.witness)
+    bound = _exterior_clique_cover(handle, mas.witness)
     seed_mask = 0
     for code in _linear_seed_codes(d, s):
         seed_mask |= 1 << code
     size, mask, exact = _search.max_independent_set(
-        handle.rows, handle.n_configs, cover_masks=cover,
+        handle.rows, handle.n_configs, bound=bound,
         seed_mask=seed_mask, node_budget=node_budget,
     )
-    witness = []
-    m = mask
-    while m:
-        low = m & -m
-        witness.append(low.bit_length() - 1)
-        m ^= low
+    witness = sorted(_mask_to_set(mask))
     for x in witness:
         if handle.rows[x] & mask:
             raise AssertionError("independent-set witness fails re-verification")
@@ -544,12 +568,7 @@ def a_s_exact(n, d, s, search_guard=DEFAULT_CODE_SEARCH_GUARD):
     size, mask, _ = _search.max_independent_set(
         rows, len(allowed), seed_mask=seed_mask
     )
-    codewords = [0]
-    m = mask
-    while m:
-        low = m & -m
-        codewords.append(allowed[low.bit_length() - 1])
-        m ^= low
+    codewords = [0] + [allowed[i] for i in _mask_to_set(mask)]
     value = size + 1
     return CodeSizeResult(
         n, d, s, True, value, value, tuple(sorted(codewords)), singleton, sphere

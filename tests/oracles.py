@@ -32,6 +32,23 @@ def brute_degree(d, s):
     return len(brute_neighbors(d, s, 0))
 
 
+def brute_fixed(d, s, protocol):
+    """Codes the protocol maps to themselves, one ``Protocol.fixes`` call each."""
+    return tuple(x for x in range(s**d.n) if protocol.fixes(x))
+
+
+def brute_exterior_classes(d, s, vertices, candidates):
+    """Bucket scan: how many words outside ``vertices`` the candidate codes show."""
+    inside = set(vertices)
+    outside = [v for v in range(d.n) if v not in inside]
+    words = set()
+    for x in range(s**d.n):
+        if candidates >> x & 1:
+            xs = decode(x, d.n, s)
+            words.add(tuple(xs[v] for v in outside))
+    return len(words)
+
+
 def induces_acyclic(d, vertices):
     """Kahn's algorithm on the induced subgraph."""
     inside = set(vertices)

@@ -46,6 +46,31 @@ class TestRank:
         for vec in basis:
             assert m.mul_vec(vec) == (0, 0, 0)
 
+    def test_nullspace_of_random_matrices(self):
+        rng = random.Random(41)
+        for p in (2, 3, 5):
+            for _ in range(25):
+                rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+                m = gl.GfMatrix(
+                    [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], p
+                )
+                basis = gl.nullspace_gfp(m)
+                assert len(basis) == cols - gl.rank_gfp(m)
+                zero = (0,) * rows
+                for vec in basis:
+                    assert m.mul_vec(vec) == zero
+                # the basis spans every solution found by brute force
+                solutions = {
+                    v for v in itertools.product(range(p), repeat=cols)
+                    if m.mul_vec(v) == zero
+                }
+                span = {
+                    tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) % p
+                          for i in range(cols))
+                    for coeffs in itertools.product(range(p), repeat=len(basis))
+                }
+                assert span == solutions
+
 
 class TestParityCheck:
     def test_cycle_repetition_code(self):

@@ -36,6 +36,25 @@ class TestCodec:
         assert gg.add_codes(gg.encode((1, 2), 3), gg.encode((2, 2), 3), 2, 3) == gg.encode((0, 1), 3)
 
 
+class TestCoordinateMasks:
+    def test_every_code_against_decode(self):
+        for s in range(2, 6):
+            n = 0
+            while s**n <= 256:
+                masks = gg.coordinate_masks(n, s)
+                assert len(masks) == n
+                for j in range(n):
+                    assert len(masks[j]) == s
+                    for a in range(s):
+                        assert masks[j][a] >> s**n == 0
+                for x in range(s**n):
+                    xs = gg.decode(x, n, s)
+                    for j in range(n):
+                        for a in range(s):
+                            assert (masks[j][a] >> x & 1) == (xs[j] == a)
+                n += 1
+
+
 class TestOracle:
     def test_clique_hamming_rule(self):
         h = gg.GuessingGraph(dg.clique(3), 2)
@@ -100,6 +119,16 @@ class TestNeighbors:
             h = gg.GuessingGraph(d, s)
             x = rng.randrange(h.n_configs)
             assert h.neighbors(x) == brute_neighbors(d, s, x)
+
+    def test_every_code_unmaterialized(self):
+        rng = random.Random(5)
+        for s in (2, 3, 4):
+            for _ in range(4):
+                d = random_digraph(rng, rng.randint(0, 3))
+                h = gg.GuessingGraph(d, s)
+                for x in range(h.n_configs):
+                    assert h.neighbors(x) == brute_neighbors(d, s, x)
+                assert not h.materialized
 
 
 class TestDegreeClosedForm:

@@ -13,6 +13,8 @@ from oracles import (
     brute_alpha,
     brute_chromatic,
     brute_code_size,
+    brute_exterior_classes,
+    brute_fixed,
     brute_is_subgroup,
     cartesian_adjacent,
     co_normal_adjacent,
@@ -60,6 +62,24 @@ class TestMaxIndependentSet:
             res = solvers.max_independent_set(h)
             for a, b in itertools.combinations(res.witness, 2):
                 assert not h.adjacent(a, b)
+
+    def test_fold_bound_counts_the_classes_met(self):
+        rng = random.Random(29)
+        for s in (2, 3, 4):
+            for _ in range(6):
+                n = rng.randint(1, {2: 6, 3: 4, 4: 3}[s])
+                d = random_digraph(rng, n)
+                total = s**n
+                mas = dg.mas_exact(d).witness
+                subsets = [mas, (), tuple(v for v in mas if rng.random() < 0.5)]
+                sets = [0, (1 << total) - 1, 1, 1 << total - 1]
+                sets += [rng.getrandbits(total) for _ in range(8)]
+                sets += [rng.getrandbits(total) & rng.getrandbits(total)
+                         & rng.getrandbits(total) for _ in range(8)]
+                for acyclic in subsets:
+                    bound = solvers._exterior_clique_cover(handle(d, s), acyclic)
+                    for c in sets:
+                        assert bound(c) == brute_exterior_classes(d, s, acyclic, c)
 
     def test_bounded_mode_brackets(self):
         d = dg.cycle(3)
@@ -340,6 +360,18 @@ class TestProtocols:
         proto = solvers.Protocol(3, 2, inputs, tuple((0, 1) for _ in range(3)))
         assert solvers.fixed_configurations(d, 2, proto) == (0, 7)
 
+    def test_random_tables_match_per_code_filter(self):
+        rng = random.Random(30)
+        for _ in range(60):
+            s = rng.choice([2, 3, 4])
+            d = random_digraph(rng, rng.randint(0, {2: 6, 3: 4, 4: 3}[s]))
+            inputs = tuple(tuple(sorted(d.in_adj[v])) for v in range(d.n))
+            tables = tuple(
+                tuple(rng.randrange(s) for _ in range(s ** len(ins))) for ins in inputs
+            )
+            proto = solvers.Protocol(d.n, s, inputs, tables)
+            assert solvers.fixed_configurations(d, s, proto) == brute_fixed(d, s, proto)
+
     def test_guard(self):
         d = dg.path(3)
         proto = solvers.protocol_from_independent_set(d, 2, [0])
@@ -373,6 +405,13 @@ class TestExhaustiveOracle:
             best, _ = solvers.exhaustive_best_protocol(d, 2)
             assert best == solvers.max_independent_set(handle(d, 2)).alpha
             checked += 1
+
+    def test_protocol_fixes_exactly_best(self):
+        rng = random.Random(31)
+        for s, n in [(2, 1), (2, 2), (2, 3), (2, 3), (3, 2), (3, 2), (2, 4)]:
+            d = random_digraph(rng, n, p=0.3)
+            best, proto = solvers.exhaustive_best_protocol(d, s)
+            assert len(brute_fixed(d, s, proto)) == best
 
     def test_guard(self):
         with pytest.raises(SizeGuard):
