@@ -11,6 +11,14 @@ for ``netcode_solve`` it holds the ``SolvabilityResult`` and the
 ``cyclic_sweep`` it is the benchmark's own answer (the polynomial
 report, the bounds report and the linear guessing number).
 
+The benchmark runs only prime alphabets, so the script also digests a
+fixed seeded set of information-defect jobs over the composite
+alphabets 4 and 6: the ``MisResult`` and the ``ChromaticResult`` that
+``information_defect`` computes (the maximum independent set, then the
+chromatic number from its witness and its size), under the
+``config_search`` node budgets, so that a search that stalls cannot
+hang the run.
+
 To check that a change leaves every answer as it was, run it on two
 checkouts and compare the output::
 
@@ -29,11 +37,15 @@ import hashlib
 import importlib
 import os
 import pickle
+import random
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 SEEDS = (1, 2)  # the benchmark's seeds
+COMPOSITE = ((4, 4), (6, 3))  # (alphabet, largest vertex count)
+COMPOSITE_SEED = 7
+COMPOSITE_JOBS = 30  # per alphabet
 
 
 class Library:
@@ -70,6 +82,28 @@ def cyclic_answer(lib, workloads, job):
     return workloads.run_cyclic(lib, job)
 
 
+def composite_jobs(lib):
+    """Seeded random digraphs over the composite alphabets."""
+    rng = random.Random(COMPOSITE_SEED)
+    for s, top in COMPOSITE:
+        for index in range(COMPOSITE_JOBS):
+            n = rng.randint(1, top)
+            p = rng.uniform(0.2, 0.9)
+            edges = [(u, v) for u in range(n) for v in range(n)
+                     if u != v and rng.random() < p]
+            yield s, index, lib.digraph.from_edge_list(n, edges)
+
+
+def defect_answer(lib, workloads, d, s):
+    handle = lib.guessing_graph.GuessingGraph(d, s)
+    mis = lib.solvers.max_independent_set(handle, node_budget=workloads.MIS_BUDGET)
+    chrom = lib.solvers.chromatic_number(
+        handle, mis_witness=mis.witness, node_budget=workloads.CHROMATIC_BUDGET,
+        alpha_upper=mis.alpha if mis.exact else None,
+    )
+    return mis, chrom
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=str(HERE.parent),
@@ -89,6 +123,10 @@ def main(argv=None):
             for index, job in enumerate(workloads.WORKLOADS[name].build(lib, seed)):
                 digest = hashlib.sha256(pickle.dumps(answer(lib, workloads, job)))
                 print(f"{name} seed{seed} {index:4d} {job.label} {digest.hexdigest()}")
+    for s, index, d in composite_jobs(lib):
+        digest = hashlib.sha256(pickle.dumps(defect_answer(lib, workloads, d, s)))
+        label = f"random-s{s}-n{d.n}-e{len(d.edges())}"
+        print(f"composite_defect s{s} {index:4d} {label} {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

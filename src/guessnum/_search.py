@@ -95,26 +95,73 @@ def max_clique_size_lower(rows, n):
     return best
 
 
+def _degree_masks(rows, n):
+    """The vertices grouped by degree, one mask per degree, highest first."""
+    by_degree = {}
+    for v in range(n):
+        d = rows[v].bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    return [by_degree[d] for d in sorted(by_degree, reverse=True)]
+
+
+def _pick(level, top, degree_masks):
+    """The next DSATUR vertex and its level.
+
+    ``level[j]`` holds the uncoloured vertices that see j colours, and
+    no level above ``top`` is occupied.  The vertex is the lowest of the
+    first degree class met in the highest occupied level: the most
+    distinct neighbour colours, then the highest degree, then the lowest
+    index.
+    """
+    j = top
+    while not level[j]:
+        j -= 1
+    for mask in degree_masks:
+        m = level[j] & mask
+        if m:
+            return (m & -m).bit_length() - 1, j
+
+
+def _saturate(level, top, fresh):
+    """Move the uncoloured vertices of ``fresh`` up one level.
+
+    ``fresh`` holds the vertices that have just seen a colour for the
+    first time; no level above ``top`` is occupied.
+    """
+    for i in range(top, -1, -1):
+        moved = level[i] & fresh
+        if moved:
+            level[i] ^= moved
+            level[i + 1] |= moved
+
+
 def greedy_dsatur(rows, n):
-    """DSATUR greedy colouring; ties broken by lowest vertex index."""
+    """DSATUR greedy colouring; ties broken by lowest vertex index.
+
+    Each step colours the uncoloured vertex with the most distinct
+    neighbour colours, then the highest degree, then the lowest index,
+    with the lowest colour none of its neighbours has.  The state is the
+    bitmasks of :func:`find_k_coloring` (``seen`` per colour, ``level``
+    per saturation), so a step costs O(colours) mask operations instead
+    of a scan of every uncoloured vertex.
+    """
     colors = [-1] * n
-    neighbor_colors = [set() for _ in range(n)]
-    degrees = [rows[v].bit_count() for v in range(n)]
-    uncolored = set(range(n))
-    while uncolored:
-        v = max(uncolored, key=lambda u: (len(neighbor_colors[u]), degrees[u], -u))
+    seen = []
+    level = [(1 << n) - 1] + [0] * n
+    degree_masks = _degree_masks(rows, n)
+    for _ in range(n):
+        used = len(seen)
+        v, j = _pick(level, used, degree_masks)
+        bit = 1 << v
+        level[j] ^= bit
         c = 0
-        while c in neighbor_colors[v]:
+        while c < used and seen[c] & bit:
             c += 1
+        if c == used:
+            seen.append(0)
         colors[v] = c
-        uncolored.discard(v)
-        m = rows[v]
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            if colors[w] < 0:
-                neighbor_colors[w].add(c)
-            m ^= low
+        _saturate(level, used, rows[v] & ~seen[c])
+        seen[c] |= rows[v]
     return colors
 
 
@@ -135,22 +182,9 @@ def find_k_coloring(rows, n, k, node_budget=None):
     colors = [-1] * n
     seen = [0] * k
     level = [(1 << n) - 1] + [0] * k
-    by_degree = {}
-    for v in range(n):
-        d = rows[v].bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
-    degree_masks = [by_degree[d] for d in sorted(by_degree, reverse=True)]
+    degree_masks = _degree_masks(rows, n)
     nodes = 0
     exhausted = False
-
-    def pick(used):
-        j = used
-        while not level[j]:
-            j -= 1
-        for mask in degree_masks:
-            m = level[j] & mask
-            if m:
-                return (m & -m).bit_length() - 1, j
 
     def backtrack(colored, used):
         nonlocal nodes, exhausted
@@ -160,7 +194,7 @@ def find_k_coloring(rows, n, k, node_budget=None):
             return False
         if colored == n:
             return True
-        v, j = pick(used)
+        v, j = _pick(level, used, degree_masks)
         bit = 1 << v
         level[j] ^= bit
         saved = level[:]
@@ -169,12 +203,7 @@ def find_k_coloring(rows, n, k, node_budget=None):
             if before & bit:
                 continue
             colors[v] = c
-            fresh = rows[v] & ~before
-            for i in range(used, -1, -1):
-                moved = level[i] & fresh
-                if moved:
-                    level[i] ^= moved
-                    level[i + 1] |= moved
+            _saturate(level, used, rows[v] & ~before)
             seen[c] = before | rows[v]
             if backtrack(colored + 1, max(used, c + 1)):
                 return True

@@ -8,6 +8,7 @@ lexicographically smallest optima.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -238,19 +239,26 @@ def _exterior_clique_cover(handle, mas_witness):
 
 
 def _linear_seed_codes(d, s):
-    """Fixed space of the all-ones strategy over GF(s), as codes."""
+    """Fixed space of the all-ones strategy over GF(s), as sorted codes.
+
+    The span is built one coordinate at a time: digit j of every
+    combination of the basis vectors is listed by extension over the
+    basis, and s^j times it is added to the combination's code.
+    Coordinates where every basis vector is 0 add nothing.
+    """
     if not gf_linear._is_prime(s):
         return ()
     basis = gf_linear.full_support_fixed_basis(d, s)
     if s ** len(basis) > _SEED_CAP:
         return ()
-    codes = []
-    for combo in itertools.product(range(s), repeat=len(basis)):
-        vec = [0] * d.n
-        for coeff, bvec in zip(combo, basis):
-            for i, e in enumerate(bvec):
-                vec[i] = (vec[i] + coeff * e) % s
-        codes.append(encode(tuple(vec), s))
+    codes = [0] * s ** len(basis)
+    for j, column in enumerate(zip(*basis)):
+        if any(column):
+            digits = [0]
+            for e in column:
+                digits = [(x + a * e) % s for a in range(s) for x in digits]
+            weight = s**j
+            codes = [c + weight * x for c, x in zip(codes, digits)]
     return tuple(sorted(set(codes)))
 
 
@@ -390,19 +398,55 @@ def _is_subgroup(codes, n, s):
     return True
 
 
+def _translation(shift, s):
+    """Index permutation of Z_s^len(shift): y -> y + shift, as codes."""
+    index = [0]
+    for j, t in enumerate(shift):
+        block = s**j
+        index = [(a + t) % s * block + i for a in range(s) for i in index]
+    return index
+
+
 def _coset_coloring(handle, subgroup_codes):
-    total = handle.n_configs
-    colors = [-1] * total
-    nxt = 0
-    for x in range(total):
-        if colors[x] != -1:
-            continue
-        for g in subgroup_codes:
-            y = add_codes(x, g, handle.n, handle.s)
-            if colors[y] != -1:
-                return None
-            colors[y] = nxt
-        nxt += 1
+    """Colour each configuration by its coset of the subgroup H of Z_s^n
+    that ``subgroup_codes`` form (the caller checks that they do).
+
+    The cosets are numbered in the order of their smallest codes, as an
+    ascending scan would meet them.  The leading digits of the elements
+    of H whose highest non-zero coordinate is m form, with 0, the group
+    d_m Z_s for a divisor d_m of s (d_m = s when there are none); the
+    smallest such element h_m has leading digit d_m.  A coset's
+    smallest code has digit m in [0, d_m), and the coset's number is
+    that code read in the radices d_m.  So the colours are built one
+    coordinate at a time, O(s) list elements per configuration: over
+    the first m + 1 coordinates, top digit a = q d_m + r gives r times
+    the number of colours below, plus the previous colours read through
+    the translation by -q h_m on the lower coordinates.
+    """
+    n, s = handle.n, handle.s
+    powers = [s**j for j in range(n + 1)]
+    lowest = {}
+    for code in subgroup_codes:
+        if code:
+            m = bisect.bisect_right(powers, code) - 1
+            lowest[m] = min(code, lowest.get(m, code))
+    colors = [0]
+    count = 1
+    for m in range(n):
+        h = lowest.get(m)
+        lead = h // powers[m] if h else s
+        below = decode(h % powers[m], m, s) if h else ()
+        previous = colors
+        colors = previous[:]  # top digit 0
+        for a in range(1, s):
+            q, r = divmod(a, lead)
+            base = r * count
+            if q:
+                shift = [(-q * t) % s for t in below]
+                colors += [base + previous[y] for y in _translation(shift, s)]
+            else:
+                colors += [base + c for c in previous]
+        count *= lead
     return colors
 
 
@@ -422,10 +466,12 @@ def chromatic_number(handle, mis_witness=None, guard=DEFAULT_GUARD, node_budget=
     largest independent set), s^n / alpha_upper rounded up, since every
     class is independent.  Upper candidates: coset colorings from subgroup
     independent sets (the all-ones linear strategy's fixed space, and
-    the supplied witness when it is a subgroup), tried first, and greedy
-    DSATUR, run only when no coset coloring meets the lower bound.  The
-    first candidate with the fewest colors seeds iterative-deepening
-    backtracking, which closes any gap left.
+    the supplied witness when it is a subgroup), tried first and built
+    from the subgroup's leading digits in O(s) list elements per
+    configuration, and greedy DSATUR on bitmask state, run only when no
+    coset coloring meets the lower bound.  Every candidate and the
+    result are re-verified.  The first candidate with the fewest colors
+    seeds iterative-deepening backtracking, which closes any gap left.
     """
     handle.materialize(guard=guard)
     d, s, total = handle.digraph, handle.s, handle.n_configs
@@ -437,7 +483,7 @@ def chromatic_number(handle, mis_witness=None, guard=DEFAULT_GUARD, node_budget=
     for codes in filter(None, [_linear_seed_codes(d, s), mis_witness]):
         if _is_subgroup(codes, handle.n, s):
             colors = _coset_coloring(handle, codes)
-            if colors is not None and _proper(handle, colors):
+            if _proper(handle, colors):
                 candidates.append(colors)
     if all(max(c) + 1 > lower for c in candidates):
         candidates.append(_search.greedy_dsatur(handle.rows, total))

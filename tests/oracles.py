@@ -244,6 +244,63 @@ def dsatur_backtrack(rows, n, k, node_budget=None):
     return None, not exhausted
 
 
+def set_dsatur(rows, n):
+    """Greedy DSATUR with one colour set per vertex and a scan per step.
+
+    The plain statement of ``_search.greedy_dsatur``: each step colours
+    the uncoloured vertex with the most distinct neighbour colours, then
+    the highest degree, then the lowest index, with the lowest colour
+    none of its neighbours has.
+    """
+    colors = [-1] * n
+    neighbor_colors = [set() for _ in range(n)]
+    degrees = [rows[v].bit_count() for v in range(n)]
+    uncolored = set(range(n))
+    while uncolored:
+        v = max(uncolored, key=lambda u: (len(neighbor_colors[u]), degrees[u], -u))
+        c = 0
+        while c in neighbor_colors[v]:
+            c += 1
+        colors[v] = c
+        uncolored.discard(v)
+        for w in range(n):
+            if rows[v] >> w & 1 and colors[w] < 0:
+                neighbor_colors[w].add(c)
+    return colors
+
+
+def scan_coset_coloring(n, s, subgroup_codes):
+    """Coset colouring by an ascending scan of Z_s^n.
+
+    The first configuration without a colour gives its whole coset the
+    next colour, so the cosets are numbered in the order of their
+    smallest codes.
+    """
+    words = [decode(g, n, s) for g in subgroup_codes]
+    colors = [-1] * s**n
+    nxt = 0
+    for x in range(s**n):
+        if colors[x] != -1:
+            continue
+        xs = decode(x, n, s)
+        for g in words:
+            colors[encode(tuple((u + v) % s for u, v in zip(xs, g)), s)] = nxt
+        nxt += 1
+    return colors
+
+
+def brute_span(basis, s):
+    """Sorted codes of every combination of the basis vectors mod s."""
+    n = len(basis[0]) if basis else 0
+    codes = set()
+    for combo in itertools.product(range(s), repeat=len(basis)):
+        word = [0] * n
+        for coeff, vec in zip(combo, basis):
+            word = [(w + coeff * e) % s for w, e in zip(word, vec)]
+        codes.add(encode(tuple(word), s))
+    return tuple(sorted(codes))
+
+
 def brute_is_subgroup(codes, n, s):
     """Closure check: 0 is a member and every pairwise sum mod s is too.
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from guessnum import digraph as dg
+from guessnum import gf_linear
 from guessnum import guessing_graph as gg
 from guessnum import solvers
 from guessnum.errors import NotIndependent, SizeGuard
@@ -16,11 +17,13 @@ from oracles import (
     brute_exterior_classes,
     brute_fixed,
     brute_is_subgroup,
+    brute_span,
     cartesian_adjacent,
     co_normal_adjacent,
     gf4_evaluation_code,
     lexicographic_adjacent,
     random_digraph,
+    scan_coset_coloring,
 )
 
 
@@ -304,6 +307,63 @@ class TestIsSubgroup:
         # Z_2^13 is a subgroup of itself, but its 8192 codes exceed the cap
         assert not solvers._is_subgroup(range(1 << 13), 13, 2)
         assert solvers._is_subgroup(range(1 << 12), 12, 2)
+
+
+class TestCosetColoring:
+    @staticmethod
+    def check(n, s, codes):
+        h = handle(dg.from_edge_list(n, []), s)
+        assert solvers._coset_coloring(h, sorted(codes)) == scan_coset_coloring(n, s, codes)
+
+    def test_matches_the_ascending_scan_on_random_subgroups(self):
+        # composite s gives leading digits strictly between 1 and s
+        rng = random.Random(43)
+        leads = set()
+        for s in (2, 3, 4, 5, 6):
+            for _ in range(60):
+                n = rng.randint(1, 5 if s == 2 else 3)
+                gens = [rng.randrange(s**n) for _ in range(rng.randint(0, 3))]
+                group = _span(gens, n, s)
+                self.check(n, s, group)
+                for m in range(n):
+                    top = [g // s**m for g in group if s**m <= g < s ** (m + 1)]
+                    leads.add((s, min(top, default=s)))
+        assert {(4, 2), (6, 2), (6, 3)} <= leads
+
+    def test_small_and_composite_cases(self):
+        even = [gg.encode(w, 4) for w in ((0, 0), (2, 0), (0, 2), (2, 2))]
+        self.check(2, 4, even)  # 2Z_4 x 2Z_4: four cosets of four codes each
+        self.check(2, 4, [0, gg.encode((2, 2), 4)])
+        self.check(2, 6, _span([gg.encode((3, 2), 6)], 2, 6))
+        for s in (2, 3, 4):
+            self.check(0, s, [0])
+            for g in range(s):
+                self.check(1, s, _span([g], 1, s))
+
+    def test_colors_are_the_coset_numbers(self):
+        h = handle(dg.from_edge_list(2, []), 4)
+        even = [gg.encode(w, 4) for w in ((0, 0), (2, 0), (0, 2), (2, 2))]
+        colors = solvers._coset_coloring(h, even)
+        assert colors == [0, 1, 0, 1, 2, 3, 2, 3, 0, 1, 0, 1, 2, 3, 2, 3]
+
+
+class TestLinearSeedCodes:
+    def test_span_of_the_fixed_basis(self):
+        rng = random.Random(44)
+        for s in (2, 3, 5):
+            for _ in range(25):
+                d = random_digraph(rng, rng.randint(0, 6 if s == 2 else 4))
+                basis = gf_linear.full_support_fixed_basis(d, s)
+                assert solvers._linear_seed_codes(d, s) == brute_span(basis, s)
+            # several basis vectors, each zero on the other's coordinates
+            for d in (dg.disjoint_union(dg.cycle(3), dg.cycle(3)),
+                      dg.disjoint_union(dg.cycle(2), dg.cycle(4))):
+                basis = gf_linear.full_support_fixed_basis(d, s)
+                assert len(basis) >= 2
+                assert solvers._linear_seed_codes(d, s) == brute_span(basis, s)
+
+    def test_composite_alphabets_have_no_seed(self):
+        assert solvers._linear_seed_codes(dg.clique(3), 4) == ()
 
 
 class TestProtocols:
