@@ -8,7 +8,6 @@ lexicographically smallest optima.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from .guessing_graph import (
 
 DEFAULT_CODE_SEARCH_GUARD = 1 << 7
 _LEXICODE_CAP = 1 << 10
-_SEED_CAP = 1 << 16
+_WITNESS_CAP = 1 << 16
 
 
 # -- protocols ----------------------------------------------------------
@@ -129,13 +128,21 @@ def _table_fixes(words, own, table):
     return mask
 
 
-def fixed_configurations(d, s, protocol, guard=DEFAULT_GUARD):
-    """All configuration codes mapped to themselves by the protocol.
+def _fixed_mask(protocol):
+    """Bitmask of the codes the protocol maps to themselves: the AND
+    over vertices of the codes each table fixes (:func:`_table_fixes`)."""
+    masks = coordinate_masks(protocol.n, protocol.s)
+    every_bit = (1 << protocol.s**protocol.n) - 1
+    fixed = every_bit
+    for v in range(protocol.n):
+        words = _word_masks(masks, protocol.inputs[v], every_bit)
+        fixed &= _table_fixes(words, masks[v], protocol.tables[v])
+    return fixed
 
-    The fixed set is the AND over vertices of the codes each table
-    fixes (:func:`_table_fixes`), on bitmasks of all s^n codes; the
-    codes come back in ascending order.
-    """
+
+def fixed_configurations(d, s, protocol, guard=DEFAULT_GUARD):
+    """All configuration codes mapped to themselves by the protocol
+    (:func:`_fixed_mask`), in ascending order."""
     if protocol.n != d.n or protocol.s != s:
         raise BadParams("protocol shape does not match digraph/alphabet")
     if protocol.inputs != _protocol_inputs(d):
@@ -147,13 +154,7 @@ def fixed_configurations(d, s, protocol, guard=DEFAULT_GUARD):
             needed=total,
             guard=guard,
         )
-    masks = coordinate_masks(d.n, s)
-    every_bit = (1 << total) - 1
-    fixed = every_bit
-    for v in range(d.n):
-        words = _word_masks(masks, protocol.inputs[v], every_bit)
-        fixed &= _table_fixes(words, masks[v], protocol.tables[v])
-    return tuple(sorted(_mask_to_set(fixed)))
+    return tuple(sorted(_mask_to_set(_fixed_mask(protocol))))
 
 
 def exhaustive_best_protocol(d, s, limit=10_000_000):
@@ -239,55 +240,43 @@ def _exterior_clique_cover(handle, mas_witness):
 
 
 def _linear_seed_codes(d, s):
-    """Fixed space of the all-ones strategy over GF(s), as sorted codes.
+    """Fixed space of the all-ones strategy over GF(s), as a bitmask.
 
-    The span is built one coordinate at a time: digit j of every
-    combination of the basis vectors is listed by extension over the
-    basis, and s^j times it is added to the combination's code.
-    Coordinates where every basis vector is 0 add nothing.
+    Each vertex guesses the sum of its in-neighbours' symbols mod s, so
+    the fixed configurations are the kernel of a Z_s-linear map: a
+    subgroup of Z_s^n, and an independent set.  The mask is 0 when s is
+    not prime.
     """
     if not gf_linear._is_prime(s):
-        return ()
-    basis = gf_linear.full_support_fixed_basis(d, s)
-    if s ** len(basis) > _SEED_CAP:
-        return ()
-    codes = [0] * s ** len(basis)
-    for j, column in enumerate(zip(*basis)):
-        if any(column):
-            digits = [0]
-            for e in column:
-                digits = [(x + a * e) % s for a in range(s) for x in digits]
-            weight = s**j
-            codes = [c + weight * x for c, x in zip(codes, digits)]
-    return tuple(sorted(set(codes)))
+        return 0
+    inputs = _protocol_inputs(d)
+    tables = []
+    for ins in inputs:
+        sums = [0]  # digit sums mod s, first input least significant
+        for _ in ins:
+            sums = [(a + x) % s for a in range(s) for x in sums]
+        tables.append(tuple(sums))
+    return _fixed_mask(Protocol(d.n, s, inputs, tuple(tables)))
 
 
-def max_independent_set(handle, mode="exact", guard=DEFAULT_GUARD, node_budget=None):
+def max_independent_set(handle, guard=DEFAULT_GUARD, node_budget=None):
     """Largest set of mutually fixable configurations.
 
-    Exact mode materializes the graph (guarded) and runs branch and
-    bound, bounded by the classes of the clique cover from a maximum
-    acyclic set that a branch's candidates meet, and seeded by the
-    all-ones linear strategy when the alphabet is prime.  The witness
-    is the lexicographically smallest optimum, re-verified; ``exact``
-    is False when ``node_budget`` ran out.  Bounded mode reports a
-    bracketing interval without materializing.
+    Materializes the graph (guarded) and runs branch and bound, bounded
+    by the classes of the clique cover from a maximum acyclic set that a
+    branch's candidates meet, and seeded by the all-ones linear
+    strategy's fixed space (:func:`_linear_seed_codes`) when the
+    alphabet is prime.  The witness is the lexicographically smallest
+    optimum, re-verified; ``exact`` is False when ``node_budget`` ran
+    out.
     """
     d, s = handle.digraph, handle.s
     mas = dg.mas_exact(d)
-    if mode == "bounded":
-        seed = _linear_seed_codes(d, s)
-        lower = max(1, len(seed))
-        witness = seed if seed else (0,)
-        return MisResult(lower, witness, False, upper=s ** (d.n - mas.size))
     handle.materialize(guard=guard)
     bound = _exterior_clique_cover(handle, mas.witness)
-    seed_mask = 0
-    for code in _linear_seed_codes(d, s):
-        seed_mask |= 1 << code
     size, mask, exact = _search.max_independent_set(
         handle.rows, handle.n_configs, bound=bound,
-        seed_mask=seed_mask, node_budget=node_budget,
+        seed_mask=_linear_seed_codes(d, s), node_budget=node_budget,
     )
     witness = sorted(_mask_to_set(mask))
     for x in witness:
@@ -322,7 +311,7 @@ def _log_value(alpha, s):
     return math.log(alpha, s), False
 
 
-def guessing_number(d, s, guard=DEFAULT_GUARD, witness_cap=_SEED_CAP):
+def guessing_number(d, s, guard=DEFAULT_GUARD, witness_cap=_WITNESS_CAP):
     """log_s of the maximum number of simultaneously fixable configurations.
 
     Solved per strongly connected component (the quantity is additive
@@ -407,15 +396,16 @@ def _translation(shift, s):
     return index
 
 
-def _coset_coloring(handle, subgroup_codes):
+def _coset_coloring(handle, subgroup_mask):
     """Colour each configuration by its coset of the subgroup H of Z_s^n
-    that ``subgroup_codes`` form (the caller checks that they do).
+    whose codes ``subgroup_mask`` holds (the caller checks that it is one).
 
     The cosets are numbered in the order of their smallest codes, as an
     ascending scan would meet them.  The leading digits of the elements
     of H whose highest non-zero coordinate is m form, with 0, the group
     d_m Z_s for a divisor d_m of s (d_m = s when there are none); the
-    smallest such element h_m has leading digit d_m.  A coset's
+    smallest such element h_m, the lowest set bit of the mask in
+    [s^m, s^(m+1)), has leading digit d_m.  A coset's
     smallest code has digit m in [0, d_m), and the coset's number is
     that code read in the radices d_m.  So the colours are built one
     coordinate at a time, O(s) list elements per configuration: over
@@ -425,17 +415,13 @@ def _coset_coloring(handle, subgroup_codes):
     """
     n, s = handle.n, handle.s
     powers = [s**j for j in range(n + 1)]
-    lowest = {}
-    for code in subgroup_codes:
-        if code:
-            m = bisect.bisect_right(powers, code) - 1
-            lowest[m] = min(code, lowest.get(m, code))
     colors = [0]
     count = 1
     for m in range(n):
-        h = lowest.get(m)
-        lead = h // powers[m] if h else s
-        below = decode(h % powers[m], m, s) if h else ()
+        window = subgroup_mask & ((1 << powers[m + 1]) - (1 << powers[m]))
+        h = (window & -window).bit_length() - 1
+        lead = h // powers[m] if window else s
+        below = decode(h % powers[m], m, s) if window else ()
         previous = colors
         colors = previous[:]  # top digit 0
         for a in range(1, s):
@@ -465,13 +451,15 @@ def chromatic_number(handle, mis_witness=None, guard=DEFAULT_GUARD, node_budget=
     acyclic set, and, given ``alpha_upper`` (any upper bound on the
     largest independent set), s^n / alpha_upper rounded up, since every
     class is independent.  Upper candidates: coset colorings from subgroup
-    independent sets (the all-ones linear strategy's fixed space, and
-    the supplied witness when it is a subgroup), tried first and built
-    from the subgroup's leading digits in O(s) list elements per
-    configuration, and greedy DSATUR on bitmask state, run only when no
-    coset coloring meets the lower bound.  Every candidate and the
-    result are re-verified.  The first candidate with the fewest colors
-    seeds iterative-deepening backtracking, which closes any gap left.
+    independent sets, passed as bitmasks and built from the subgroup's
+    leading digits in O(s) list elements per configuration, and greedy
+    DSATUR on bitmask state, run only when no coset coloring meets the
+    lower bound.  The subgroups are the all-ones linear strategy's fixed
+    space (a kernel, so a subgroup by construction) and the supplied
+    witness when :func:`_is_subgroup` accepts it.  Every candidate and
+    the result are re-verified.  The first candidate with the fewest
+    colors seeds iterative-deepening backtracking, which closes any gap
+    left.
     """
     handle.materialize(guard=guard)
     d, s, total = handle.digraph, handle.s, handle.n_configs
@@ -479,12 +467,14 @@ def chromatic_number(handle, mis_witness=None, guard=DEFAULT_GUARD, node_budget=
     lower = s**mas.size
     if alpha_upper:
         lower = max(lower, -(-total // alpha_upper))
+    subgroups = [_linear_seed_codes(d, s)]
+    if mis_witness and _is_subgroup(mis_witness, handle.n, s):
+        subgroups.append(sum(1 << x for x in mis_witness))
     candidates = []
-    for codes in filter(None, [_linear_seed_codes(d, s), mis_witness]):
-        if _is_subgroup(codes, handle.n, s):
-            colors = _coset_coloring(handle, codes)
-            if _proper(handle, colors):
-                candidates.append(colors)
+    for subgroup in filter(None, subgroups):
+        colors = _coset_coloring(handle, subgroup)
+        if _proper(handle, colors):
+            candidates.append(colors)
     if all(max(c) + 1 > lower for c in candidates):
         candidates.append(_search.greedy_dsatur(handle.rows, total))
     initial = min(candidates, key=lambda c: max(c) + 1)

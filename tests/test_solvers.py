@@ -11,6 +11,7 @@ from guessnum import solvers
 from guessnum.errors import NotIndependent, SizeGuard
 
 from oracles import (
+    all_digraphs,
     brute_alpha,
     brute_chromatic,
     brute_code_size,
@@ -29,6 +30,10 @@ from oracles import (
 
 def handle(d, s):
     return gg.GuessingGraph(d, s)
+
+
+def mask_of(codes):
+    return sum(1 << c for c in set(codes))
 
 
 class TestMaxIndependentSet:
@@ -83,12 +88,6 @@ class TestMaxIndependentSet:
                     bound = solvers._exterior_clique_cover(handle(d, s), acyclic)
                     for c in sets:
                         assert bound(c) == brute_exterior_classes(d, s, acyclic, c)
-
-    def test_bounded_mode_brackets(self):
-        d = dg.cycle(3)
-        res = solvers.max_independent_set(handle(d, 2), mode="bounded")
-        assert not res.exact
-        assert res.alpha <= 2 <= res.upper
 
 
 class TestGuessingNumber:
@@ -155,6 +154,17 @@ class TestColoring:
         even = frozenset([0, 3, 5, 6])
         odd = frozenset([1, 2, 4, 7])
         assert classes == {even, odd}
+
+    def test_seed_cosets_win_a_tie_with_the_witness(self):
+        # the all-ones seed {000, 111} and the MIS witness {000, 101} are
+        # different subgroups whose cosets both meet the bound 4
+        d = dg.from_edge_list(3, [(2, 0), (2, 1), (0, 2)])
+        h = handle(d, 2)
+        mis = solvers.max_independent_set(h)
+        assert mis.witness == (0, 5)
+        res = solvers.chromatic_number(h, mis_witness=mis.witness)
+        assert (res.chi, res.exact) == (4, True)
+        assert list(res.coloring) == scan_coset_coloring(3, 2, [0, 7])
 
     def test_bidirectional_union_takes_the_max(self):
         d = dg.bidirectional_union(dg.clique(2), dg.path(2))
@@ -313,7 +323,7 @@ class TestCosetColoring:
     @staticmethod
     def check(n, s, codes):
         h = handle(dg.from_edge_list(n, []), s)
-        assert solvers._coset_coloring(h, sorted(codes)) == scan_coset_coloring(n, s, codes)
+        assert solvers._coset_coloring(h, mask_of(codes)) == scan_coset_coloring(n, s, codes)
 
     def test_matches_the_ascending_scan_on_random_subgroups(self):
         # composite s gives leading digits strictly between 1 and s
@@ -343,7 +353,7 @@ class TestCosetColoring:
     def test_colors_are_the_coset_numbers(self):
         h = handle(dg.from_edge_list(2, []), 4)
         even = [gg.encode(w, 4) for w in ((0, 0), (2, 0), (0, 2), (2, 2))]
-        colors = solvers._coset_coloring(h, even)
+        colors = solvers._coset_coloring(h, mask_of(even))
         assert colors == [0, 1, 0, 1, 2, 3, 2, 3, 0, 1, 0, 1, 2, 3, 2, 3]
 
 
@@ -354,16 +364,26 @@ class TestLinearSeedCodes:
             for _ in range(25):
                 d = random_digraph(rng, rng.randint(0, 6 if s == 2 else 4))
                 basis = gf_linear.full_support_fixed_basis(d, s)
-                assert solvers._linear_seed_codes(d, s) == brute_span(basis, s)
+                assert solvers._linear_seed_codes(d, s) == mask_of(brute_span(basis, s))
             # several basis vectors, each zero on the other's coordinates
             for d in (dg.disjoint_union(dg.cycle(3), dg.cycle(3)),
                       dg.disjoint_union(dg.cycle(2), dg.cycle(4))):
                 basis = gf_linear.full_support_fixed_basis(d, s)
                 assert len(basis) >= 2
-                assert solvers._linear_seed_codes(d, s) == brute_span(basis, s)
+                assert solvers._linear_seed_codes(d, s) == mask_of(brute_span(basis, s))
+
+    def test_seed_is_a_subgroup_of_the_fixed_dimension(self):
+        # chromatic_number colours by the seed's cosets without testing it
+        rng = random.Random(45)
+        for s in (2, 3, 5):
+            for _ in range(25):
+                d = random_digraph(rng, rng.randint(0, 6 if s == 2 else 4), p=0.5)
+                codes = sorted(gg._mask_to_set(solvers._linear_seed_codes(d, s)))
+                assert brute_is_subgroup(codes, d.n, s)
+                assert len(codes) == s ** gf_linear.full_support_fixed_dimension(d, s)
 
     def test_composite_alphabets_have_no_seed(self):
-        assert solvers._linear_seed_codes(dg.clique(3), 4) == ()
+        assert solvers._linear_seed_codes(dg.clique(3), 4) == 0
 
 
 class TestProtocols:
@@ -476,6 +496,44 @@ class TestExhaustiveOracle:
     def test_guard(self):
         with pytest.raises(SizeGuard):
             solvers.exhaustive_best_protocol(dg.clique(4), 3, limit=1000)
+
+
+class TestDifferentialSweep:
+    """alpha, chi and the all-ones seed against the brute-force oracles."""
+
+    @staticmethod
+    def check(d, s):
+        total = s**d.n
+        h = handle(d, s).materialize()
+        mis = solvers.max_independent_set(h)
+        defect = solvers.information_defect(d, s)
+        assert mis.exact and defect.exact
+        assert mis.alpha == brute_alpha(d, s)
+        space = 1
+        for v in range(d.n):
+            space *= s ** (s ** d.in_degree(v))
+        if space <= 10**5:
+            assert solvers.exhaustive_best_protocol(d, s)[0] == mis.alpha
+        if total <= 12:
+            assert defect.chi == brute_chromatic(h.rows, total)
+        assert mis.alpha * defect.chi >= total
+        seed = solvers._linear_seed_codes(d, s).bit_count()
+        assert 1 <= seed <= mis.alpha
+        assert defect.chi * seed <= total
+        return space <= 10**5
+
+    def test_every_small_digraph(self):
+        for s, largest in ((2, 3), (3, 2)):
+            for n in range(largest + 1):
+                for d in all_digraphs(n):
+                    assert self.check(d, s)
+
+    def test_seeded_four_vertex_digraphs(self):
+        rng = random.Random(46)
+        exhaustive = 0
+        for _ in range(8):
+            exhaustive += self.check(random_digraph(rng, 4, p=rng.choice([0.25, 0.5])), 2)
+        assert exhaustive >= 4
 
 
 class TestCodeSizes:
