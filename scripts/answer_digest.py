@@ -19,6 +19,14 @@ chromatic number from its witness and its size), under the
 ``config_search`` node budgets, so that a search that stalls cannot
 hang the run.
 
+The benchmark's linear work is all over GF(2), so the script also
+digests a fixed seeded set of linear jobs over GF(3) and GF(5): for
+each digraph, ``linear_guessing_number`` in each ``exhaustive`` mode
+(witness included) with the fixed-space basis of that witness from
+``fixed_space_basis``, and the all-ones basis from
+``full_support_fixed_basis``.  A pattern budget of 2^16 keeps each
+exhaustive search small.
+
 To check that a change leaves every answer as it was, run it on two
 checkouts and compare the output::
 
@@ -46,6 +54,10 @@ SEEDS = (1, 2)  # the benchmark's seeds
 COMPOSITE = ((4, 4), (6, 3))  # (alphabet, largest vertex count)
 COMPOSITE_SEED = 7
 COMPOSITE_JOBS = 30  # per alphabet
+PRIMES = ((3, 5), (5, 4))  # (field, largest vertex count)
+PRIME_SEED = 11
+PRIME_JOBS = 30  # per field
+LINEAR_BUDGET = 1 << 16  # coefficient patterns an exhaustive search may list
 
 
 class Library:
@@ -82,11 +94,11 @@ def cyclic_answer(lib, workloads, job):
     return workloads.run_cyclic(lib, job)
 
 
-def composite_jobs(lib):
-    """Seeded random digraphs over the composite alphabets."""
-    rng = random.Random(COMPOSITE_SEED)
-    for s, top in COMPOSITE:
-        for index in range(COMPOSITE_JOBS):
+def seeded_jobs(lib, seed, sizes, count):
+    """Seeded random digraphs: ``count`` per (alphabet, largest vertex count)."""
+    rng = random.Random(seed)
+    for s, top in sizes:
+        for index in range(count):
             n = rng.randint(1, top)
             p = rng.uniform(0.2, 0.9)
             edges = [(u, v) for u in range(n) for v in range(n)
@@ -102,6 +114,15 @@ def defect_answer(lib, workloads, d, s):
         alpha_upper=mis.alpha if mis.exact else None,
     )
     return mis, chrom
+
+
+def linear_answer(lib, d, p):
+    gl = lib.gf_linear
+    answer = [gl.full_support_fixed_basis(d, p)]
+    for mode in (None, True, False):
+        res = gl.linear_guessing_number(d, p, budget=LINEAR_BUDGET, exhaustive=mode)
+        answer.append((res, gl.fixed_space_basis(d, p, res.witness)))
+    return answer
 
 
 def main(argv=None):
@@ -123,10 +144,14 @@ def main(argv=None):
             for index, job in enumerate(workloads.WORKLOADS[name].build(lib, seed)):
                 digest = hashlib.sha256(pickle.dumps(answer(lib, workloads, job)))
                 print(f"{name} seed{seed} {index:4d} {job.label} {digest.hexdigest()}")
-    for s, index, d in composite_jobs(lib):
+    for s, index, d in seeded_jobs(lib, COMPOSITE_SEED, COMPOSITE, COMPOSITE_JOBS):
         digest = hashlib.sha256(pickle.dumps(defect_answer(lib, workloads, d, s)))
         label = f"random-s{s}-n{d.n}-e{len(d.edges())}"
         print(f"composite_defect s{s} {index:4d} {label} {digest.hexdigest()}")
+    for p, index, d in seeded_jobs(lib, PRIME_SEED, PRIMES, PRIME_JOBS):
+        digest = hashlib.sha256(pickle.dumps(linear_answer(lib, d, p)))
+        label = f"random-p{p}-n{d.n}-e{len(d.edges())}"
+        print(f"prime_linear p{p} {index:4d} {label} {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -224,7 +224,7 @@ class PolyDigraphReport:
         )
 
 
-def polynomial_digraph_report(g, n, mas_budget=dg.DEFAULT_MAS_BUDGET):
+def polynomial_digraph_report(g, n):
     """Check the structural claims of a polynomial-generated digraph.
 
     For divisors of x^n + 1 the checks cover: regular in/out-degree
@@ -257,7 +257,7 @@ def polynomial_digraph_report(g, n, mas_budget=dg.DEFAULT_MAS_BUDGET):
     prefix = tuple(range(n - deg)) if deg <= n else ()
     sub, _ = dg.induced_subdigraph(d, prefix)
     prefix_acyclic = dg.is_acyclic(sub)
-    mas = dg.mas_exact(d, budget=mas_budget)
+    mas = dg.mas_exact(d)
     parity = gf_linear.parity_check_protocol(d)
     gcd_poly = g.gcd(x_power_plus_one(n))
     mas_match = (mas.size == n - deg) if (divides and mas.exact) else None

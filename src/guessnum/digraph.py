@@ -440,7 +440,7 @@ class CliquePartitionResult:
     exact: bool
 
 
-def clique_partition_number(d, budget=DEFAULT_PARTITION_BUDGET):
+def clique_partition_number(d):
     """Minimum number of bidirectionally-complete classes covering V.
 
     Equals the chromatic number of the complement of the bidirectional
@@ -458,7 +458,7 @@ def clique_partition_number(d, budget=DEFAULT_PARTITION_BUDGET):
     greedy = _search.greedy_dsatur(comp_rows, n)
     lower = _search.max_clique_size_lower(comp_rows, n)
     count, coloring, exact = _search.exact_chromatic(
-        comp_rows, n, lower, greedy, node_budget=budget
+        comp_rows, n, lower, greedy, node_budget=DEFAULT_PARTITION_BUDGET
     )
     parts = [[] for _ in range(count)]
     for v, c in enumerate(coloring):

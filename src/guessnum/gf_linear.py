@@ -7,7 +7,11 @@ strategy is found by minimizing ``rank(I + A)`` over all matrices ``A``
 whose support lies inside the adjacency support (the two minimizations
 coincide under ``A <-> -A``).
 
-GF(2) matrices use machine-word bit rows; other primes use tuples.
+Ranks over GF(2) use machine-word bit rows; other primes use tuples.
+The exhaustive search over coefficient patterns is one depth-first
+search for every prime: only its row reduction knows the field.  Every
+fixed-space basis, of the all-ones strategy or of a witness, comes from
+one builder that re-verifies each vector against the local functions.
 Diagonal entries are never allowed in support-respecting matrices
 (loops are excluded from adjacency).
 """
@@ -198,36 +202,40 @@ def parity_check_protocol(d):
     return ParityCheckResult(len(codes), tuple(codes))
 
 
-def _full_support_matrix(d, p):
-    # I - A^T: row v encodes x_v - sum of v's in-neighbours' values
-    return GfMatrix(
-        [
-            [
-                ((1 if i == j else 0) - (1 if i in d.in_adj[j] else 0)) % p
-                for i in range(d.n)
-            ]
-            for j in range(d.n)
-        ],
-        p,
-    )
+def _fixed_basis(d, p, coeffs):
+    """Fixed-space basis of the strategy x_v = sum of coeffs[(u, v)] * x_u.
+
+    The fixed configurations are the nullspace of I - C^T, where C holds
+    ``coeffs``; row v of that matrix encodes x_v minus v's combination.
+    Each basis vector is re-verified against the local functions, which
+    read only v's in-neighbours, so a basis that relies on a coefficient
+    off the edges fails the check.
+    """
+    n = d.n
+    rows = [[int(u == v) for u in range(n)] for v in range(n)]
+    for (u, v), c in coeffs.items():
+        rows[v][u] -= c
+    basis = nullspace_gfp(GfMatrix(rows, p))
+    local = [[(u, coeffs.get((u, v), 0)) for u in d.in_adj[v]] for v in range(n)]
+    for vec in basis:
+        for v in range(n):
+            if sum(c * vec[u] for u, c in local[v]) % p != vec[v]:
+                raise AssertionError("fixed-space basis vector is not fixed")
+    return basis
 
 
 def full_support_fixed_dimension(d, p):
-    """Fixed-space dimension of the all-ones strategy over GF(p)."""
+    """Fixed-space dimension of the all-ones strategy over GF(p).
+
+    That is n - rank(I - A^T), and rank(I - A) is the same number.
+    """
     _check_prime(p)
-    return d.n - rank_gfp(_full_support_matrix(d, p))
+    return d.n - _rank_of_support(d, p, {e: -1 for e in d.edges()})
 
 
 def full_support_fixed_basis(d, p):
     """Fixed-space basis of the all-ones strategy, as coordinate tuples."""
-    _check_prime(p)
-    basis = nullspace_gfp(_full_support_matrix(d, p))
-    for vec in basis:
-        for v in range(d.n):
-            total = sum(vec[u] for u in d.in_adj[v]) % p
-            if total != vec[v] % p:
-                raise AssertionError("all-ones basis vector is not fixed")
-    return basis
+    return _fixed_basis(d, p, {e: 1 for e in d.edges()})
 
 
 # -- linear guessing number -------------------------------------------
@@ -343,90 +351,71 @@ def _min_rank_exhaustive(d, p, budget, floor=0):
     optimal coefficient pattern.  ``floor`` is a proven lower bound on
     the minimum rank; the search stops once it is reached, since no
     later pattern can do strictly better.
+
+    One search serves every prime; only ``push`` knows the field.  It
+    reduces a row against the rows chosen so far and keeps it when it
+    is independent: GF(2) rows are ints reduced at each pivot's lowest
+    bit, other primes keep (pivot column, normalized row) pairs.
     """
     n = d.n
     outs = [sorted(d.out_adj[v]) for v in range(n)]
-    total = p ** d.edge_count()
-    if total > budget:
+    if p ** d.edge_count() > budget:
         raise BadParams("pattern space exceeds budget")
     best = [n + 1, None]
+    pivots = []
 
     if p == 2:
-        pivots = []
 
-        def reduce_row(vec):
+        def push(v, combo):
+            vec = 1 << v
+            for j, bit in zip(outs[v], combo):
+                if bit:
+                    vec |= 1 << j
             for prow in pivots:
                 low = prow & -prow
                 if vec & low:
                     vec ^= prow
+            if vec:
+                pivots.append(vec)
             return vec
 
-        def dfs(v, rank, chosen):
-            if rank >= best[0] or best[0] <= floor:
-                return
-            if v == n:
-                best[0] = rank
-                best[1] = dict(chosen)
-                return
-            base = 1 << v
-            for combo in itertools.product((0, 1), repeat=len(outs[v])):
-                vec = base
-                for j, bit in zip(outs[v], combo):
-                    if bit:
-                        vec |= 1 << j
-                red = reduce_row(vec)
-                for j, bit in zip(outs[v], combo):
-                    chosen[(v, j)] = bit
-                if red:
-                    pivots.append(red)
-                    dfs(v + 1, rank + 1, chosen)
-                    pivots.pop()
-                else:
-                    dfs(v + 1, rank, chosen)
-            for j in outs[v]:
-                chosen.pop((v, j), None)
-
-        dfs(0, 0, {})
     else:
-        pivots = []  # list of (pivot_col, normalized row tuple)
 
-        def reduce_row(vec):
-            vec = list(vec)
+        def push(v, combo):
+            vec = [0] * n
+            vec[v] = 1
+            for j, val in zip(outs[v], combo):
+                vec[j] = val
             for col, row in pivots:
                 f = vec[col]
                 if f:
                     vec = [(a - f * b) % p for a, b in zip(vec, row)]
-            return vec
+            lead = next((c for c in range(n) if vec[c]), None)
+            if lead is None:
+                return False
+            inv = pow(vec[lead], p - 2, p)
+            pivots.append((lead, tuple((e * inv) % p for e in vec)))
+            return True
 
-        def dfs(v, rank, chosen):
-            if rank >= best[0] or best[0] <= floor:
-                return
-            if v == n:
-                best[0] = rank
-                best[1] = chosen.copy()
-                return
-            for combo in itertools.product(range(p), repeat=len(outs[v])):
-                vec = [0] * n
-                vec[v] = 1
-                for j, val in zip(outs[v], combo):
-                    vec[j] = val
-                red = reduce_row(vec)
-                for j, val in zip(outs[v], combo):
-                    chosen[(v, j)] = val
-                lead = next((c for c in range(n) if red[c]), None)
-                if lead is not None:
-                    inv = pow(red[lead], p - 2, p)
-                    norm = tuple((e * inv) % p for e in red)
-                    pivots.append((lead, norm))
-                    dfs(v + 1, rank + 1, chosen)
-                    pivots.pop()
-                else:
-                    dfs(v + 1, rank, chosen)
-            for j in outs[v]:
-                chosen.pop((v, j), None)
+    def dfs(v, rank, chosen):
+        if rank >= best[0] or best[0] <= floor:
+            return
+        if v == n:
+            best[0] = rank
+            best[1] = dict(chosen)
+            return
+        for combo in itertools.product(range(p), repeat=len(outs[v])):
+            for j, val in zip(outs[v], combo):
+                chosen[(v, j)] = val
+            if push(v, combo):
+                dfs(v + 1, rank + 1, chosen)
+                pivots.pop()
+            else:
+                dfs(v + 1, rank, chosen)
+        for j in outs[v]:
+            chosen.pop((v, j), None)
 
-        dfs(0, 0, {})
-
+    dfs(0, 0, {})
     coeffs = best[1] if best[1] is not None else {}
     return best[0], _matrix_from_coeffs(d, p, coeffs)
 
@@ -504,14 +493,14 @@ def _sparse_linear_uppers(d, p):
     return out
 
 
-def linear_product_lower(d1, d2, p, budget=DEFAULT_LINEAR_BUDGET):
+def linear_product_lower(d1, d2, p):
     """Product lower bound with an explicit Kronecker witness.
 
     Returns (bound, witness A) where I + A is the Kronecker product of
     the factor witnesses; the witness rank is re-verified.
     """
-    r1 = linear_guessing_number(d1, p, budget=budget)
-    r2 = linear_guessing_number(d2, p, budget=budget)
+    r1 = linear_guessing_number(d1, p)
+    r2 = linear_guessing_number(d2, p)
     n1, n2 = d1.n, d2.n
     bound = n1 * n2 - (n1 - r1.lower) * (n2 - r2.lower)
     eye1 = GfMatrix.identity(n1, p)
@@ -533,18 +522,16 @@ def fixed_space_basis(d, p, witness):
     coefficients -A, so its fixed space is the nullspace of I + A^T.
     Each basis vector is re-verified against the local functions.
     """
-    n = d.n
-    eye = GfMatrix.identity(n, p)
-    mat = eye.add(witness).transpose()
-    basis = nullspace_gfp(mat)
-    for vec in basis:
-        for v in range(n):
-            acc = 0
-            for u in d.in_adj[v]:
-                acc += (-witness.entries[u][v]) * vec[u]
-            if acc % p != vec[v] % p:
-                raise AssertionError("witness basis vector is not fixed")
-    return basis
+    _check_prime(p)
+    if (witness.rows, witness.cols, witness.p) != (d.n, d.n, p):
+        raise BadParams("shape or field mismatch")
+    coeffs = {
+        (u, v): -e
+        for u, row in enumerate(witness.entries)
+        for v, e in enumerate(row)
+        if e
+    }
+    return _fixed_basis(d, p, coeffs)
 
 
 # -- text format -------------------------------------------------------

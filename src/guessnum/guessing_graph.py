@@ -17,6 +17,7 @@ from __future__ import annotations
 from .errors import AlphabetMismatch, BadParams, SizeGuard
 
 DEFAULT_GUARD = 1 << 22
+_DEGREE_NODE_CAP = 1 << 22  # independent sets visited by degree_closed_form
 
 
 def encode(symbols, s):
@@ -205,7 +206,7 @@ def materialize(digraph, s, guard=DEFAULT_GUARD):
     return GuessingGraph(digraph, s).materialize(guard=guard)
 
 
-def degree_closed_form(digraph, s, node_cap=1 << 22):
+def degree_closed_form(digraph, s):
     """Degree of the configuration graph without touching configurations.
 
     Inclusion-exclusion over the digraph's independent sets (sets with no
@@ -225,11 +226,11 @@ def degree_closed_form(digraph, s, node_cap=1 << 22):
             if (forbidden >> v) & 1:
                 continue
             visited += 1
-            if visited > node_cap:
+            if visited > _DEGREE_NODE_CAP:
                 raise SizeGuard(
                     "independent-set enumeration exceeded its cap",
                     needed=visited,
-                    guard=node_cap,
+                    guard=_DEGREE_NODE_CAP,
                 )
             union = in_union | in_rows[v]
             card = size + 1

@@ -37,6 +37,8 @@ from .errors import (
 )
 from .guessing_graph import DEFAULT_GUARD
 
+_SIMULATE_GUARD = 1 << 16  # source words a certificate is simulated on
+
 
 @dataclass(frozen=True)
 class NetworkInstance:
@@ -222,35 +224,22 @@ def _certificate_from_protocol(instance, digraph, protocol):
     return Certificate(protocol.s, tuple(functions))
 
 
-def _simulate(instance, digraph, protocol, s, guard=1 << 16):
+def _simulate(instance, digraph, protocol, s):
     """Exhaustively check a certificate delivers every demand."""
     n = instance.n_pairs
-    if s**n > guard:
+    if s**n > _SIMULATE_GUARD:
         return None
-    m = len(instance.intermediates)
     topo = dg.topological_order(_erase_pair_cycles(digraph, n))
+    values = [0] * digraph.n
     for source_word in itertools.product(range(s), repeat=n):
-        values = {}
-        for i in range(n):
-            values[i] = source_word[i]
+        values[:n] = source_word
         for v in topo:
-            if v < n:
-                continue
-            word = tuple(values[u] for u in protocol.inputs[v])
-            values[v] = protocol.tables[v][_word_index(word, s)]
+            if v >= n:
+                values[v] = protocol.tables[v][protocol.word_index(values, v)]
         for i in range(n):
-            word = tuple(values[u] for u in protocol.inputs[i])
-            decoded = protocol.tables[i][_word_index(word, s)]
-            if decoded != source_word[i]:
+            if protocol.tables[i][protocol.word_index(values, i)] != source_word[i]:
                 return False
     return True
-
-
-def _word_index(word, s):
-    idx = 0
-    for sym in reversed(word):
-        idx = idx * s + sym
-    return idx
 
 
 def _erase_pair_cycles(digraph, n):
@@ -275,7 +264,7 @@ def solvable(instance, s, guard=DEFAULT_GUARD):
     n = instance.n_pairs
     m = len(instance.intermediates)
     result = solvers.guessing_number(merged, s, guard=guard)
-    if result.alpha > s**n + 1e-9:
+    if result.alpha > s**n:
         raise AssertionError("guessing number exceeded the pair count")
     reason = None
     for i in range(n):

@@ -311,13 +311,13 @@ def _log_value(alpha, s):
     return math.log(alpha, s), False
 
 
-def guessing_number(d, s, guard=DEFAULT_GUARD, witness_cap=_WITNESS_CAP):
+def guessing_number(d, s, guard=DEFAULT_GUARD):
     """log_s of the maximum number of simultaneously fixable configurations.
 
     Solved per strongly connected component (the quantity is additive
     across them) and recombined; the witness protocol fixes the product
     of the per-component witnesses.  Protocol construction is skipped
-    when the combined witness would exceed ``witness_cap``.
+    when the combined witness would exceed ``_WITNESS_CAP``.
     """
     if s < 2:
         raise BadParams("alphabet size must be at least 2")
@@ -334,7 +334,7 @@ def guessing_number(d, s, guard=DEFAULT_GUARD, witness_cap=_WITNESS_CAP):
         per_component.append((vertices, mis))
     value, integral = _log_value(alpha, s)
     protocol = None
-    if alpha <= witness_cap:
+    if alpha <= _WITNESS_CAP:
         combined = []
         for combo in itertools.product(
             *[[decode(c, len(vs), s) for c in mis.witness] for vs, mis in per_component]
@@ -548,9 +548,9 @@ def _hamming(x, y, n, s):
     return sum(1 for a, b in zip(xs, ys) if a != b)
 
 
-def _lexicode(n, d, s, cap=_LEXICODE_CAP):
+def _lexicode(n, d, s):
     total = s**n
-    if total > cap:
+    if total > _LEXICODE_CAP:
         # repetition code: s words, pairwise distance n >= d
         return tuple(encode((v,) * n, s) for v in range(s)) if d <= n else (0,)
     chosen = []
@@ -561,7 +561,7 @@ def _lexicode(n, d, s, cap=_LEXICODE_CAP):
 
 
 @lru_cache(maxsize=None)
-def a_s_exact(n, d, s, search_guard=DEFAULT_CODE_SEARCH_GUARD):
+def a_s_exact(n, d, s):
     """Maximum size of a length-n code over [s] with minimum distance d.
 
     Pinches a greedy lexicographic code against the Singleton and
@@ -587,7 +587,7 @@ def a_s_exact(n, d, s, search_guard=DEFAULT_CODE_SEARCH_GUARD):
     upper = min(singleton, sphere)
     if lower == upper:
         return CodeSizeResult(n, d, s, True, lower, lower, witness, singleton, sphere)
-    if total > search_guard:
+    if total > DEFAULT_CODE_SEARCH_GUARD:
         return CodeSizeResult(n, d, s, False, None, lower, witness, singleton, sphere)
     allowed = [x for x in range(1, total) if _hamming(0, x, n, s) >= d]
     index = {x: i for i, x in enumerate(allowed)}
@@ -690,8 +690,7 @@ class BoundsReport:
         return recs
 
 
-def bounds_report(d, s, mas_budget=dg.DEFAULT_MAS_BUDGET,
-                  code_guard=DEFAULT_CODE_SEARCH_GUARD, degree_cap=1 << 22):
+def bounds_report(d, s):
     """Every applicable bound on g, g_linear and b, with provenance.
 
     Inapplicable bounds are listed under ``skipped`` with the reason.
@@ -702,7 +701,7 @@ def bounds_report(d, s, mas_budget=dg.DEFAULT_MAS_BUDGET,
         raise BadParams("alphabet size must be at least 2")
     n = d.n
     report = dg.structure_report(d)
-    mas = dg.mas_exact(d, budget=mas_budget)
+    mas = dg.mas_exact(d)
     scc = dg.strong_components(d)
     bounds = []
     skipped = []
@@ -721,14 +720,14 @@ def bounds_report(d, s, mas_budget=dg.DEFAULT_MAS_BUDGET,
     else:
         skipped.append(("no_bidirectional_sphere", "bidirectional edges present"))
     if not acyclic:
-        girth_code = a_s_exact(n, report.girth, s, search_guard=code_guard)
+        girth_code = a_s_exact(n, report.girth, s)
         bounds.append(Bound("code_girth", "g", "upper",
                             log_s(girth_code.upper),
                             f"codes of distance girth={report.girth}"))
     else:
         skipped.append(("code_girth", "digraph is acyclic"))
     dist = n - report.min_in_degree + 1
-    dist_code = a_s_exact(n, dist, s, search_guard=code_guard)
+    dist_code = a_s_exact(n, dist, s)
     if dist_code.best_lower >= 1:
         bounds.append(Bound("code_distance", "g", "lower",
                             log_s(dist_code.best_lower),
@@ -738,7 +737,7 @@ def bounds_report(d, s, mas_budget=dg.DEFAULT_MAS_BUDGET,
                             report.min_in_degree - log_s(n),
                             "degree of the configuration graph"))
         try:
-            deg = degree_closed_form(d, s, node_cap=degree_cap)
+            deg = degree_closed_form(d, s)
             bounds.append(Bound("graph_degree", "g", "lower",
                                 n - log_s(deg + 1),
                                 "regular-graph independence bound"))

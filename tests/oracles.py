@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 from guessnum.digraph import Digraph
+from guessnum.gf_linear import GfMatrix, rank_gfp
 from guessnum.guessing_graph import decode, encode
 
 
@@ -91,6 +92,45 @@ def brute_rank_gf2(rows):
     for row in rows:
         span |= {x ^ row for x in span}
     return len(span).bit_length() - 1
+
+
+def brute_min_rank(d, p):
+    """Minimum rank(I + A) over every A supported on the edges, by listing.
+
+    Patterns run over ``d.edges()`` in order with coefficients ascending,
+    the last edge changing fastest.  Returns the minimum rank and the
+    entries of the first A that reaches it.
+    """
+    n, edges = d.n, d.edges()
+    best = None
+    for values in itertools.product(range(p), repeat=len(edges)):
+        a = [[0] * n for _ in range(n)]
+        for (u, v), c in zip(edges, values):
+            a[u][v] = c
+        eye_plus = [[int(i == j) + a[i][j] for j in range(n)] for i in range(n)]
+        rank = rank_gfp(GfMatrix(eye_plus, p))
+        if best is None or rank < best[0]:
+            best = (rank, tuple(map(tuple, a)))
+    return best
+
+
+def full_support_matrix(d, p):
+    """I - A^T over GF(p): row v encodes x_v minus v's in-neighbours' sum."""
+    return GfMatrix(
+        [
+            [
+                ((1 if i == j else 0) - (1 if i in d.in_adj[j] else 0)) % p
+                for i in range(d.n)
+            ]
+            for j in range(d.n)
+        ],
+        p,
+    )
+
+
+def witness_fixed_matrix(d, p, witness):
+    """(I + W)^T, whose nullspace the strategy with coefficients -W fixes."""
+    return GfMatrix.identity(d.n, p).add(witness).transpose()
 
 
 def brute_alpha(d, s):

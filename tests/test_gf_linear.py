@@ -9,7 +9,12 @@ from guessnum import gf_linear as gl
 from guessnum import solvers
 from guessnum.errors import NonPrimeField
 
-from oracles import random_digraph
+from oracles import (
+    brute_min_rank,
+    full_support_matrix,
+    random_digraph,
+    witness_fixed_matrix,
+)
 
 
 def paley7():
@@ -225,6 +230,62 @@ class TestStoppedSearches:
                 res = gl.linear_guessing_number(d, p, exhaustive=mode)
                 assert res.lower <= res.upper
                 assert len(gl.fixed_space_basis(d, p, res.witness)) >= res.lower
+
+
+class TestAgainstOracles:
+    """The one search and the one basis builder, against the references."""
+
+    @staticmethod
+    def digraphs(seed, p, limit):
+        rng = random.Random(seed)
+        for _ in range(40):
+            d = random_digraph(rng, rng.randint(1, 5), rng.uniform(0.25, 0.7))
+            if p ** d.edge_count() <= limit:
+                yield d, rng
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_min_rank_matches_listing(self, p):
+        # at p = 3 the search finds this digraph's first optimal pattern
+        # only when it normalizes every pivot row
+        pinned = dg.from_edge_list(
+            4, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 3), (3, 1)]
+        )
+        cases = [d for d, _ in self.digraphs(90 + p, p, 5000)]
+        if p ** pinned.edge_count() <= 5000:
+            cases.append(pinned)
+        checked = 0
+        for d in cases:
+            rank, witness = brute_min_rank(d, p)
+            for floor in (0, dg.mas_exact(d).size):
+                got = gl._min_rank_exhaustive(d, p, gl.DEFAULT_LINEAR_BUDGET, floor=floor)
+                assert (got[0], got[1].entries) == (rank, witness)
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_all_ones_basis_matches_reference(self, p):
+        for d, _ in self.digraphs(100 + p, p, float("inf")):
+            reference = gl.nullspace_gfp(full_support_matrix(d, p))
+            assert gl.full_support_fixed_basis(d, p) == reference
+            assert gl.full_support_fixed_dimension(d, p) == len(reference)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_witness_basis_matches_reference(self, p):
+        for d, rng in self.digraphs(110 + p, p, float("inf")):
+            witnesses = (
+                gl.linear_guessing_number(d, p).witness,
+                gl._matrix_from_coeffs(d, p, {e: rng.randrange(p) for e in d.edges()}),
+            )
+            for witness in witnesses:
+                reference = gl.nullspace_gfp(witness_fixed_matrix(d, p, witness))
+                assert gl.fixed_space_basis(d, p, witness) == reference
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_witness_off_the_edges_is_rejected(self, p):
+        # x_0 = x_1 and x_1 = x_0 on a digraph without edges
+        witness = gl.GfMatrix([[0, -1], [-1, 0]], p)
+        with pytest.raises(AssertionError):
+            gl.fixed_space_basis(dg.Digraph(2), p, witness)
 
 
 class TestProductLower:
