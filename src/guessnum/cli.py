@@ -288,7 +288,7 @@ def cmd_netcode_convert(args):
 
 def cmd_gg_export(args):
     d = _load_digraph(args.digraph)
-    handle = GuessingGraph(d, args.s).materialize(guard=args.guard)
+    handle = GuessingGraph(d, args.s, args.guard).materialize()
     write_edge_list(handle, args.output)
     _emit(
         [("configs", handle.n_configs), ("degree", handle.degree()), ("output", args.output)],

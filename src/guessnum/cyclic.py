@@ -258,10 +258,10 @@ def polynomial_digraph_report(g, n):
     sub, _ = dg.induced_subdigraph(d, prefix)
     prefix_acyclic = dg.is_acyclic(sub)
     mas = dg.mas_exact(d)
-    parity = gf_linear.parity_check_protocol(d)
+    fixed_dim = gf_linear.full_support_fixed_dimension(d, 2)
     gcd_poly = g.gcd(x_power_plus_one(n))
     mas_match = (mas.size == n - deg) if (divides and mas.exact) else None
-    fixed_match = (parity.dimension == deg) if divides else None
+    fixed_match = (fixed_dim == deg) if divides else None
     upper_match = (n - mas.size == deg) if (divides and mas.exact) else None
     return PolyDigraphReport(
         poly=g,
@@ -282,7 +282,7 @@ def polynomial_digraph_report(g, n):
         mas_size=mas.size,
         mas_exact=mas.exact,
         mas_matches_degree=mas_match,
-        fixed_space_dimension=parity.dimension,
+        fixed_space_dimension=fixed_dim,
         fixed_dim_matches_degree=fixed_match,
         guessing_upper_matches_degree=upper_match,
         gcd_with_cycle_space=gcd_poly,

@@ -14,6 +14,9 @@ configuration.
 
 from __future__ import annotations
 
+from functools import cached_property
+
+from . import digraph as dg
 from .errors import AlphabetMismatch, BadParams, SizeGuard
 
 DEFAULT_GUARD = 1 << 22
@@ -68,20 +71,36 @@ def coordinate_masks(n, s):
 class GuessingGraph:
     """Handle on the configuration graph of ``digraph`` over ``[s]``.
 
-    The oracle methods work at any size; ``materialize`` additionally
-    stores explicit adjacency rows for the exact solvers, guarded by a
-    configuration-count limit.
+    It holds the facts the solvers read, each computed on first use: the
+    coordinate masks, a maximum acyclic set and the adjacency rows.
+    ``guard`` caps the configuration count of neighbour sets, the degree
+    and materialization; the ``adjacent`` oracle works at any size.
     """
 
-    def __init__(self, digraph, s):
+    def __init__(self, digraph, s, guard=DEFAULT_GUARD):
         if s < 2:
             raise BadParams("alphabet size must be at least 2")
         self.digraph = digraph
         self.s = s
         self.n = digraph.n
         self.n_configs = s**digraph.n
+        self.guard = guard
         self.rows = None
-        self._zero_neighbors = None
+
+    @cached_property
+    def masks(self):
+        """:func:`coordinate_masks` of the handle's n and s."""
+        return coordinate_masks(self.n, self.s)
+
+    @cached_property
+    def mas(self):
+        """:func:`digraph.mas_exact` of the handle's digraph."""
+        return dg.mas_exact(self.digraph)
+
+    def _within_guard(self, needs):
+        if self.n_configs > self.guard:
+            raise SizeGuard(f"{needs} configurations (> guard {self.guard})",
+                            needed=self.n_configs, guard=self.guard)
 
     # -- oracle --------------------------------------------------------
 
@@ -106,22 +125,16 @@ class GuessingGraph:
                 return True
         return False
 
-    def neighbors(self, x, guard=DEFAULT_GUARD):
-        """Exact neighbour set of a configuration code."""
+    def _row(self, x):
+        """Neighbour bitmask of a configuration code (guarded)."""
         self._check(x)
-        if self.n_configs > guard:
-            raise SizeGuard(
-                f"neighbour enumeration needs {self.s}^{self.n} configurations"
-                f" (> guard {guard})",
-                needed=self.n_configs,
-                guard=guard,
-            )
+        self._within_guard(f"neighbour enumeration needs {self.s}^{self.n}")
         if self.rows is not None:
-            return _mask_to_set(self.rows[x])
+            return self.rows[x]
         # y is a neighbour when, for some vertex i, y agrees with x on
         # every in-neighbour of i but differs from x at i itself
         xs = decode(x, self.n, self.s)
-        masks = coordinate_masks(self.n, self.s)
+        masks = self.masks
         every_bit = (1 << self.n_configs) - 1
         row = 0
         for i in range(self.n):
@@ -129,20 +142,23 @@ class GuessingGraph:
             for j in self.digraph.in_adj[i]:
                 agree &= masks[j][xs[j]]
             row |= agree & ~masks[i][xs[i]]
-        return _mask_to_set(row)
+        return row
 
-    def zero_neighbors(self, guard=DEFAULT_GUARD):
-        if self._zero_neighbors is None:
-            self._zero_neighbors = tuple(sorted(self.neighbors(0, guard=guard)))
-        return self._zero_neighbors
+    def neighbors(self, x):
+        """Exact neighbour set of a configuration code."""
+        return _mask_to_set(self._row(x))
 
-    def degree(self, guard=DEFAULT_GUARD):
+    def zero_neighbors(self):
+        """Neighbours of the zero configuration, in ascending order."""
+        return tuple(sorted(self.neighbors(0)))
+
+    def degree(self):
         """Common degree (the graph is regular by translation)."""
-        return len(self.zero_neighbors(guard=guard))
+        return self._row(0).bit_count()
 
     # -- materialization ----------------------------------------------
 
-    def materialize(self, guard=DEFAULT_GUARD):
+    def materialize(self):
         """Build explicit adjacency rows by translating the zero row.
 
         The graph is a Cayley graph on Z_s^n, so row x is the zero row
@@ -156,19 +172,12 @@ class GuessingGraph:
         """
         if self.rows is not None:
             return self
-        if self.n_configs > guard:
-            raise SizeGuard(
-                f"materialization needs {self.s}^{self.n} = {self.n_configs}"
-                f" configurations (> guard {guard})",
-                needed=self.n_configs,
-                guard=guard,
-            )
+        self._within_guard(f"materialization needs {self.s}^{self.n} = {self.n_configs}")
         s, total = self.s, self.n_configs
         rows = [0] * total
-        for z in self.zero_neighbors(guard=guard):
-            rows[0] |= 1 << z
+        rows[0] = self._row(0)
         every_bit = (1 << total) - 1
-        masks = coordinate_masks(self.n, s)
+        masks = self.masks
         for i in range(self.n):
             block = s**i
             wrap = (s - 1) * block
@@ -194,16 +203,8 @@ def _mask_to_set(mask):
     return out
 
 
-def adjacent(handle, x, y):
-    return handle.adjacent(x, y)
-
-
-def neighbors(handle, x, guard=DEFAULT_GUARD):
-    return handle.neighbors(x, guard=guard)
-
-
 def materialize(digraph, s, guard=DEFAULT_GUARD):
-    return GuessingGraph(digraph, s).materialize(guard=guard)
+    return GuessingGraph(digraph, s, guard).materialize()
 
 
 def degree_closed_form(digraph, s):

@@ -215,7 +215,7 @@ class MisResult:
     upper: int | None = None
 
 
-def _exterior_clique_cover(handle, mas_witness):
+def _exterior_clique_cover(handle, acyclic):
     """Branch bound: how many cover classes a candidate mask meets.
 
     Configurations agreeing outside an acyclic induced set mutually
@@ -225,8 +225,7 @@ def _exterior_clique_cover(handle, mas_witness):
     class met, so the count is a popcount.
     """
     s = handle.s
-    masks = coordinate_masks(handle.n, s)
-    folds = [(masks[i][0], [t * s**i for t in range(1, s)]) for i in mas_witness]
+    folds = [(handle.masks[i][0], [t * s**i for t in range(1, s)]) for i in acyclic]
 
     def bound(candidates):
         for zero, shifts in folds:
@@ -259,7 +258,7 @@ def _linear_seed_codes(d, s):
     return _fixed_mask(Protocol(d.n, s, inputs, tuple(tables)))
 
 
-def max_independent_set(handle, guard=DEFAULT_GUARD, node_budget=None):
+def max_independent_set(handle, node_budget=None):
     """Largest set of mutually fixable configurations.
 
     Materializes the graph (guarded) and runs branch and bound, bounded
@@ -270,13 +269,11 @@ def max_independent_set(handle, guard=DEFAULT_GUARD, node_budget=None):
     optimum, re-verified; ``exact`` is False when ``node_budget`` ran
     out.
     """
-    d, s = handle.digraph, handle.s
-    mas = dg.mas_exact(d)
-    handle.materialize(guard=guard)
-    bound = _exterior_clique_cover(handle, mas.witness)
+    handle.materialize()
+    bound = _exterior_clique_cover(handle, handle.mas.witness)
     size, mask, exact = _search.max_independent_set(
         handle.rows, handle.n_configs, bound=bound,
-        seed_mask=_linear_seed_codes(d, s), node_budget=node_budget,
+        seed_mask=_linear_seed_codes(handle.digraph, handle.s), node_budget=node_budget,
     )
     witness = sorted(_mask_to_set(mask))
     for x in witness:
@@ -327,8 +324,7 @@ def guessing_number(d, s, guard=DEFAULT_GUARD):
     exact = True
     for comp in scc.components:
         sub, vertices = dg.induced_subdigraph(d, comp)
-        handle = GuessingGraph(sub, s)
-        mis = max_independent_set(handle, guard=guard)
+        mis = max_independent_set(GuessingGraph(sub, s, guard))
         exact = exact and mis.exact
         alpha *= mis.alpha
         per_component.append((vertices, mis))
@@ -437,14 +433,17 @@ def _coset_coloring(handle, subgroup_mask):
 
 
 def _proper(handle, colors):
-    masks = {}
-    for x, c in enumerate(colors):
-        masks[c] = masks.get(c, 0) | (1 << x)
-    return all(handle.rows[x] & masks[colors[x]] == 0 for x in range(handle.n_configs))
+    """True iff no colour class meets the OR of its members' rows (both
+    masks built in one pass)."""
+    members = [0] * (max(colors) + 1)
+    reach = members[:]
+    for x, (c, row) in enumerate(zip(colors, handle.rows, strict=True)):
+        members[c] |= 1 << x
+        reach[c] |= row
+    return not any(m & r for m, r in zip(members, reach))
 
 
-def chromatic_number(handle, mis_witness=None, guard=DEFAULT_GUARD, node_budget=None,
-                     alpha_upper=None):
+def chromatic_number(handle, mis_witness=None, node_budget=None, alpha_upper=None):
     """Minimum number of fixable classes covering every configuration.
 
     Lower bounds: the clique of configurations agreeing outside a maximum
@@ -461,10 +460,9 @@ def chromatic_number(handle, mis_witness=None, guard=DEFAULT_GUARD, node_budget=
     colors seeds iterative-deepening backtracking, which closes any gap
     left.
     """
-    handle.materialize(guard=guard)
+    handle.materialize()
     d, s, total = handle.digraph, handle.s, handle.n_configs
-    mas = dg.mas_exact(d)
-    lower = s**mas.size
+    lower = s**handle.mas.size
     if alpha_upper:
         lower = max(lower, -(-total // alpha_upper))
     subgroups = [_linear_seed_codes(d, s)]
@@ -505,10 +503,10 @@ def information_defect(d, s, guard=DEFAULT_GUARD):
     Every color class is a valid simultaneously-fixable set, so the
     partition doubles as a public-message assignment.
     """
-    handle = GuessingGraph(d, s).materialize(guard=guard)
-    mis = max_independent_set(handle, guard=guard)
+    handle = GuessingGraph(d, s, guard)
+    mis = max_independent_set(handle)
     chrom = chromatic_number(
-        handle, mis_witness=mis.witness, guard=guard,
+        handle, mis_witness=mis.witness,
         alpha_upper=mis.alpha if mis.exact else None,
     )
     classes = {}

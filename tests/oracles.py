@@ -33,6 +33,14 @@ def brute_degree(d, s):
     return len(brute_neighbors(d, s, 0))
 
 
+def brute_proper(d, s, colors):
+    """Per-pair scan: no two adjacent configurations share a colour."""
+    return not any(
+        colors[x] == colors[y] and brute_adjacent(d, s, x, y)
+        for x, y in itertools.combinations(range(s**d.n), 2)
+    )
+
+
 def brute_fixed(d, s, protocol):
     """Codes the protocol maps to themselves, one ``Protocol.fixes`` call each."""
     return tuple(x for x in range(s**d.n) if protocol.fixes(x))

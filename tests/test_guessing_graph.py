@@ -131,6 +131,46 @@ class TestNeighbors:
                 assert not h.materialized
 
 
+class TestHandleGuard:
+    """The configuration guard is set once, when the handle is built."""
+
+    def test_every_enumeration_checks_the_handle_guard(self):
+        h = gg.GuessingGraph(dg.cycle(4), 3, guard=1 << 6)
+        with pytest.raises(SizeGuard) as exc:
+            h.materialize()
+        assert (exc.value.needed, exc.value.guard) == (81, 64)
+        assert str(exc.value) == "materialization needs 3^4 = 81 configurations (> guard 64)"
+        for enumerate_ in (lambda: h.neighbors(0), h.zero_neighbors, h.degree):
+            with pytest.raises(SizeGuard) as exc:
+                enumerate_()
+            assert (exc.value.needed, exc.value.guard) == (81, 64)
+            assert str(exc.value) == "neighbour enumeration needs 3^4 configurations (> guard 64)"
+        assert not h.materialized
+        assert h.adjacent(0, 1)  # the oracle is not guarded
+
+    def test_guard_at_the_size_admits_it(self):
+        h = gg.GuessingGraph(dg.cycle(4), 3, guard=81)
+        assert h.degree() == gg.degree_closed_form(dg.cycle(4), 3)
+        assert h.materialize().materialized
+
+
+class TestDegree:
+    def test_degree_matches_zero_row_and_closed_form(self):
+        rng = random.Random(44)
+        for s, top in ((2, 6), (3, 4), (4, 3)):
+            for _ in range(8):
+                d = random_digraph(rng, rng.randint(0, top), p=rng.choice([0.3, 0.6]))
+                expected = gg.degree_closed_form(d, s)
+                h = gg.GuessingGraph(d, s)
+                zero = h.zero_neighbors()
+                assert zero == tuple(sorted(brute_neighbors(d, s, 0)))
+                assert h.degree() == len(zero) == expected
+                assert not h.materialized
+                h.materialize()
+                assert h.zero_neighbors() == zero
+                assert h.degree() == h.rows[0].bit_count() == expected
+
+
 class TestDegreeClosedForm:
     def test_clique(self):
         assert gg.degree_closed_form(dg.clique(3), 2) == 3

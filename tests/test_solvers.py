@@ -18,6 +18,7 @@ from oracles import (
     brute_exterior_classes,
     brute_fixed,
     brute_is_subgroup,
+    brute_proper,
     brute_span,
     cartesian_adjacent,
     co_normal_adjacent,
@@ -267,6 +268,109 @@ class TestColoring:
             for cls in res.classes:
                 for a, b in itertools.combinations(cls, 2):
                     assert not h.adjacent(a, b)
+
+
+class TestProper:
+    """``_proper`` against a per-pair scan of the definition."""
+
+    def test_matches_the_per_pair_scan(self):
+        rng = random.Random(45)
+        verdicts = set()
+        for s, top in ((2, 6), (3, 3), (4, 3)):
+            for _ in range(6):
+                d = random_digraph(rng, rng.randint(1, top), p=rng.choice([0.3, 0.6]))
+                h = handle(d, s).materialize()
+                total = h.n_configs
+                colorings = [
+                    list(solvers.chromatic_number(h).coloring),
+                    solvers._search.greedy_dsatur(h.rows, total),
+                    list(range(total)),
+                    [rng.randrange(3) for _ in range(total)],
+                ]
+                # one edge inside a class: recolour a neighbour of x like x
+                for colors in colorings[:3]:
+                    x = rng.randrange(total)
+                    if h.rows[x]:
+                        y = rng.choice(sorted(h.neighbors(x)))
+                        bad = list(colors)
+                        bad[y] = bad[x]
+                        colorings.append(bad)
+                for colors in colorings:
+                    verdict = brute_proper(d, s, colors)
+                    assert solvers._proper(h, colors) == verdict
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+class TestHandleFacts:
+    """One handle per (digraph, alphabet) computes each fact once."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        # the handle builds its masks through guessing_graph's binding; the
+        # all-ones seed reads its own protocol masks, not counted here
+        counts = {"mas": 0, "masks": 0}
+        mas_exact, coordinate_masks = dg.mas_exact, gg.coordinate_masks
+
+        def counted_mas(*args, **kwargs):
+            counts["mas"] += 1
+            return mas_exact(*args, **kwargs)
+
+        def counted_masks(*args, **kwargs):
+            counts["masks"] += 1
+            return coordinate_masks(*args, **kwargs)
+
+        monkeypatch.setattr(dg, "mas_exact", counted_mas)
+        monkeypatch.setattr(gg, "coordinate_masks", counted_masks)
+        return counts
+
+    def cases(self):
+        rng = random.Random(46)
+        yield dg.cycle(4), 2
+        yield dg.clique(3), 3
+        for _ in range(4):
+            yield random_digraph(rng, rng.randint(1, 5)), 2
+
+    def test_mis_then_coloring_on_one_handle(self, monkeypatch):
+        counts = self.counting(monkeypatch)
+        for d, s in self.cases():
+            counts.update(mas=0, masks=0)
+            h = handle(d, s)
+            mis = solvers.max_independent_set(h)
+            solvers.chromatic_number(h, mis_witness=mis.witness)
+            assert counts == {"mas": 1, "masks": 1}
+
+    def test_information_defect(self, monkeypatch):
+        counts = self.counting(monkeypatch)
+        for d, s in self.cases():
+            counts.update(mas=0, masks=0)
+            solvers.information_defect(d, s)
+            assert counts == {"mas": 1, "masks": 1}
+
+    def test_guessing_number_once_per_component(self, monkeypatch):
+        counts = self.counting(monkeypatch)
+        for d, s in self.cases():
+            counts.update(mas=0, masks=0)
+            res = solvers.guessing_number(d, s)
+            k = len(res.components)
+            assert counts == {"mas": k, "masks": k}
+
+    def test_solvers_raise_the_handle_guard_before_any_work(self, monkeypatch):
+        counts = self.counting(monkeypatch)
+        message = "materialization needs 3^4 = 81 configurations (> guard 64)"
+        d = dg.cycle(4)
+        calls = (
+            lambda: solvers.max_independent_set(gg.GuessingGraph(d, 3, guard=64)),
+            lambda: solvers.chromatic_number(gg.GuessingGraph(d, 3, guard=64)),
+            lambda: solvers.information_defect(d, 3, guard=64),
+            lambda: solvers.guessing_number(d, 3, guard=64),
+        )
+        for call in calls:
+            with pytest.raises(SizeGuard) as exc:
+                call()
+            assert (exc.value.needed, exc.value.guard) == (81, 64)
+            assert str(exc.value) == message
+        assert counts == {"mas": 0, "masks": 0}
 
 
 def _span(gens, n, s):
