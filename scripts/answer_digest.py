@@ -2,14 +2,18 @@
 
 Runs each ``config_search``, ``netcode_solve`` and ``cyclic_sweep`` job
 of seeds 1 and 2 against the package under ``<root>/src`` and prints
-one line per job: its index, its label and a SHA-256 of the pickled
-answer.  For ``config_search`` the answer holds the ``MisResult``, the
-full ``ChromaticResult`` (colouring included), the adjacency rows and
-the protocol's fixed configurations, with the benchmark's node budgets;
-for ``netcode_solve`` it holds the ``SolvabilityResult`` and the
-``DefectResult`` (class partition included) of the merged digraph; for
-``cyclic_sweep`` it is the benchmark's own answer (the polynomial
-report, the bounds report and the linear guessing number).
+one line per job: its index, its label, a short ``key=value`` summary
+and a SHA-256 of the pickled answer.  The summary holds alpha, chi and
+their exact flags, or the linear bracket ``lower..upper`` for the
+linear lines, so a diff of two digests shows which way a changed
+answer moved.  For ``config_search`` the answer holds the
+``MisResult``, the full ``ChromaticResult`` (colouring included), the
+adjacency rows and the protocol's fixed configurations, with the
+benchmark's node budgets; for ``netcode_solve`` it holds the
+``SolvabilityResult`` and the ``DefectResult`` (class partition
+included) of the merged digraph; for ``cyclic_sweep`` it is the
+benchmark's own answer (the polynomial report, the bounds report and
+the linear guessing number).
 
 The benchmark runs only prime alphabets, so the script also digests a
 fixed seeded set of information-defect jobs over the composite
@@ -69,6 +73,16 @@ class Library:
             setattr(self, name, importlib.import_module(f"guessnum.{name}"))
 
 
+def mis_chi_summary(answer):
+    mis, chrom = answer[:2]
+    return (f"alpha={mis.alpha} alpha_exact={mis.exact} "
+            f"chi={chrom.chi} chi_exact={chrom.exact}")
+
+
+def bracket(res):
+    return f"{res.lower}..{res.upper}"
+
+
 def config_answer(lib, workloads, job):
     d, s = job.data, job.s
     handle = lib.guessing_graph.GuessingGraph(d, s)
@@ -92,6 +106,19 @@ def netcode_answer(lib, workloads, job):
 
 def cyclic_answer(lib, workloads, job):
     return workloads.run_cyclic(lib, job)
+
+
+def netcode_summary(answer):
+    res, defect = answer
+    text = f"solvable={res.solvable} alpha={res.alpha}"
+    if defect is not None:
+        text += f" chi={defect.chi} chi_exact={defect.exact}"
+    return text
+
+
+def cyclic_summary(answer):
+    linear = answer[2]
+    return f"linear={bracket(linear)} linear_exact={linear.exact}"
 
 
 def seeded_jobs(lib, seed, sizes, count):
@@ -125,6 +152,16 @@ def linear_answer(lib, d, p):
     return answer
 
 
+def linear_summary(answer):
+    # one bracket per exhaustive mode, as linear_answer lists them
+    return "linear=" + ",".join(bracket(res) for res, _ in answer[1:])
+
+
+def line(answer, summary):
+    """The answer's summary, then the SHA-256 of the pickled answer."""
+    return f"{summary(answer)} {hashlib.sha256(pickle.dumps(answer)).hexdigest()}"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=str(HERE.parent),
@@ -137,21 +174,24 @@ def main(argv=None):
     sys.path[:0] = [str(root / "src"), str(HERE.parent / "guessbench")]
     workloads = importlib.import_module("workloads")
     lib = Library()
-    runners = {"config_search": config_answer, "netcode_solve": netcode_answer,
-               "cyclic_sweep": cyclic_answer}
+    runners = {
+        "config_search": (config_answer, mis_chi_summary),
+        "netcode_solve": (netcode_answer, netcode_summary),
+        "cyclic_sweep": (cyclic_answer, cyclic_summary),
+    }
     for seed in SEEDS:
-        for name, answer in runners.items():
+        for name, (run, summary) in runners.items():
             for index, job in enumerate(workloads.WORKLOADS[name].build(lib, seed)):
-                digest = hashlib.sha256(pickle.dumps(answer(lib, workloads, job)))
-                print(f"{name} seed{seed} {index:4d} {job.label} {digest.hexdigest()}")
+                answer = run(lib, workloads, job)
+                print(f"{name} seed{seed} {index:4d} {job.label} {line(answer, summary)}")
     for s, index, d in seeded_jobs(lib, COMPOSITE_SEED, COMPOSITE, COMPOSITE_JOBS):
-        digest = hashlib.sha256(pickle.dumps(defect_answer(lib, workloads, d, s)))
+        answer = defect_answer(lib, workloads, d, s)
         label = f"random-s{s}-n{d.n}-e{len(d.edges())}"
-        print(f"composite_defect s{s} {index:4d} {label} {digest.hexdigest()}")
+        print(f"composite_defect s{s} {index:4d} {label} {line(answer, mis_chi_summary)}")
     for p, index, d in seeded_jobs(lib, PRIME_SEED, PRIMES, PRIME_JOBS):
-        digest = hashlib.sha256(pickle.dumps(linear_answer(lib, d, p)))
+        answer = linear_answer(lib, d, p)
         label = f"random-p{p}-n{d.n}-e{len(d.edges())}"
-        print(f"prime_linear p{p} {index:4d} {label} {digest.hexdigest()}")
+        print(f"prime_linear p{p} {index:4d} {label} {line(answer, linear_summary)}")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from .guessing_graph import (
     DEFAULT_GUARD,
     GuessingGraph,
     _mask_to_set,
-    add_codes,
     coordinate_masks,
     decode,
     degree_closed_form,
@@ -128,10 +127,10 @@ def _table_fixes(words, own, table):
     return mask
 
 
-def _fixed_mask(protocol):
+def _fixed_mask(protocol, masks):
     """Bitmask of the codes the protocol maps to themselves: the AND
-    over vertices of the codes each table fixes (:func:`_table_fixes`)."""
-    masks = coordinate_masks(protocol.n, protocol.s)
+    over vertices of the codes each table fixes (:func:`_table_fixes`),
+    read through the :func:`coordinate_masks` ``masks`` of its n and s."""
     every_bit = (1 << protocol.s**protocol.n) - 1
     fixed = every_bit
     for v in range(protocol.n):
@@ -154,7 +153,7 @@ def fixed_configurations(d, s, protocol, guard=DEFAULT_GUARD):
             needed=total,
             guard=guard,
         )
-    return tuple(sorted(_mask_to_set(_fixed_mask(protocol))))
+    return tuple(sorted(_mask_to_set(_fixed_mask(protocol, coordinate_masks(d.n, s)))))
 
 
 def exhaustive_best_protocol(d, s, limit=10_000_000):
@@ -238,16 +237,15 @@ def _exterior_clique_cover(handle, acyclic):
     return bound
 
 
-def _linear_seed_codes(d, s):
-    """Fixed space of the all-ones strategy over GF(s), as a bitmask.
+def _linear_seed_codes(handle):
+    """Fixed space of the all-ones strategy over Z_s, as a bitmask.
 
     Each vertex guesses the sum of its in-neighbours' symbols mod s, so
-    the fixed configurations are the kernel of a Z_s-linear map: a
-    subgroup of Z_s^n, and an independent set.  The mask is 0 when s is
-    not prime.
+    at every s the fixed configurations are the kernel of a Z_s-linear
+    map: a subgroup of Z_s^n, and, as a protocol's fixed set, an
+    independent set.  Read through the handle's coordinate masks.
     """
-    if not gf_linear._is_prime(s):
-        return 0
+    d, s = handle.digraph, handle.s
     inputs = _protocol_inputs(d)
     tables = []
     for ins in inputs:
@@ -255,7 +253,7 @@ def _linear_seed_codes(d, s):
         for _ in ins:
             sums = [(a + x) % s for a in range(s) for x in sums]
         tables.append(tuple(sums))
-    return _fixed_mask(Protocol(d.n, s, inputs, tuple(tables)))
+    return _fixed_mask(Protocol(d.n, s, inputs, tuple(tables)), handle.masks)
 
 
 def max_independent_set(handle, node_budget=None):
@@ -264,16 +262,15 @@ def max_independent_set(handle, node_budget=None):
     Materializes the graph (guarded) and runs branch and bound, bounded
     by the classes of the clique cover from a maximum acyclic set that a
     branch's candidates meet, and seeded by the all-ones linear
-    strategy's fixed space (:func:`_linear_seed_codes`) when the
-    alphabet is prime.  The witness is the lexicographically smallest
-    optimum, re-verified; ``exact`` is False when ``node_budget`` ran
-    out.
+    strategy's fixed space (:func:`_linear_seed_codes`).  The witness is
+    the lexicographically smallest optimum, re-verified; ``exact`` is
+    False when ``node_budget`` ran out.
     """
     handle.materialize()
     bound = _exterior_clique_cover(handle, handle.mas.witness)
     size, mask, exact = _search.max_independent_set(
         handle.rows, handle.n_configs, bound=bound,
-        seed_mask=_linear_seed_codes(handle.digraph, handle.s), node_budget=node_budget,
+        seed_mask=_linear_seed_codes(handle), node_budget=node_budget,
     )
     witness = sorted(_mask_to_set(mask))
     for x in witness:
@@ -355,34 +352,6 @@ class ChromaticResult:
     exact: bool
 
 
-def _is_subgroup(codes, n, s):
-    """True iff the codes form a subgroup of Z_s^n (at most 4096 of them).
-
-    The subgroup is grown one generator at a time: adjoining g to a
-    subgroup H adds the cosets H + g, H + 2g, ... up to the first
-    multiple of g inside H.  Every element so generated must be one of
-    the codes, and every code is either generated or adjoined, so the
-    codes form a subgroup exactly when they equal what they generate.
-    """
-    codes_set = set(codes)
-    if 0 not in codes_set or len(codes_set) > 4096:
-        return False
-    group = {0}
-    for g in sorted(codes_set):
-        if g in group:
-            continue
-        cosets = []
-        step = g
-        while step not in group:
-            coset = {add_codes(h, step, n, s) for h in group}
-            if not coset <= codes_set:
-                return False
-            cosets.append(coset)
-            step = add_codes(step, g, n, s)
-        group = group.union(*cosets)
-    return True
-
-
 def _translation(shift, s):
     """Index permutation of Z_s^len(shift): y -> y + shift, as codes."""
     index = [0]
@@ -394,7 +363,11 @@ def _translation(shift, s):
 
 def _coset_coloring(handle, subgroup_mask):
     """Colour each configuration by its coset of the subgroup H of Z_s^n
-    whose codes ``subgroup_mask`` holds (the caller checks that it is one).
+    whose codes ``subgroup_mask`` holds.
+
+    Any mask gives a colouring, since only the lowest set bit in each
+    window [s^m, s^(m+1)) is read; when the mask is not an independent
+    subgroup, :func:`_proper` decides whether the colouring is proper.
 
     The cosets are numbered in the order of their smallest codes, as an
     ascending scan would meet them.  The leading digits of the elements
@@ -449,28 +422,28 @@ def chromatic_number(handle, mis_witness=None, node_budget=None, alpha_upper=Non
     Lower bounds: the clique of configurations agreeing outside a maximum
     acyclic set, and, given ``alpha_upper`` (any upper bound on the
     largest independent set), s^n / alpha_upper rounded up, since every
-    class is independent.  Upper candidates: coset colorings from subgroup
-    independent sets, passed as bitmasks and built from the subgroup's
-    leading digits in O(s) list elements per configuration, and greedy
-    DSATUR on bitmask state, run only when no coset coloring meets the
-    lower bound.  The subgroups are the all-ones linear strategy's fixed
-    space (a kernel, so a subgroup by construction) and the supplied
-    witness when :func:`_is_subgroup` accepts it.  Every candidate and
-    the result are re-verified.  The first candidate with the fewest
-    colors seeds iterative-deepening backtracking, which closes any gap
-    left.
+    class is independent.  Upper candidates: coset colorings
+    (:func:`_coset_coloring`) from the all-ones linear strategy's fixed
+    space and from the supplied witness, as bitmasks, and greedy DSATUR
+    on bitmask state, run only when no coset coloring meets the lower
+    bound.  Sets of one code are skipped.  :func:`_proper` is the only
+    check: it keeps the proper candidates, subgroups or not, and
+    re-verifies the result.  The first candidate with the fewest colors
+    seeds iterative-deepening backtracking, which closes any gap left.
     """
     handle.materialize()
-    d, s, total = handle.digraph, handle.s, handle.n_configs
+    s, total = handle.s, handle.n_configs
     lower = s**handle.mas.size
     if alpha_upper:
         lower = max(lower, -(-total // alpha_upper))
-    subgroups = [_linear_seed_codes(d, s)]
-    if mis_witness and _is_subgroup(mis_witness, handle.n, s):
-        subgroups.append(sum(1 << x for x in mis_witness))
+    independent = [_linear_seed_codes(handle)]
+    if mis_witness:
+        independent.append(sum(1 << x for x in mis_witness))
     candidates = []
-    for subgroup in filter(None, subgroups):
-        colors = _coset_coloring(handle, subgroup)
+    for mask in independent:
+        if mask & (mask - 1) == 0:
+            continue
+        colors = _coset_coloring(handle, mask)
         if _proper(handle, colors):
             candidates.append(colors)
     if all(max(c) + 1 > lower for c in candidates):

@@ -210,8 +210,8 @@ class TestColoring:
             return greedy(rows, n)
 
         monkeypatch.setattr(solvers._search, "greedy_dsatur", counted)
-        # K_3 over [3]: the all-ones fixed space is {0}, whose cosets use
-        # all 27 colors, three times the bound
+        # K_3 over [3]: the all-ones fixed space is {0}, one code, so no
+        # coset coloring is tried
         res = solvers.chromatic_number(handle(dg.clique(3), 3))
         assert calls == [27]
         assert (res.chi, res.exact) == (3, True)
@@ -226,6 +226,60 @@ class TestColoring:
             assert res.exact
             assert res.chi == brute_chromatic(h.rows, h.n_configs)
         assert gaps >= 3
+
+    def test_latin_square_witness_closes_k3_over_z6(self):
+        # the MIS witness is not a subgroup, yet its coloring meets s^mas
+        d = dg.clique(3)
+        h = handle(d, 6)
+        mis = solvers.max_independent_set(h)
+        assert (mis.alpha, mis.exact) == (36, True)
+        assert not brute_is_subgroup(mis.witness, 3, 6)
+        res = solvers.chromatic_number(
+            h, mis_witness=mis.witness, node_budget=500, alpha_upper=mis.alpha
+        )
+        assert (res.chi, res.exact) == (6, True)
+        defect = solvers.information_defect(d, 6)
+        assert (defect.chi, defect.exact) == (6, True)
+
+    def test_non_subgroup_witness_of_k3_over_z4_colors_properly(self):
+        d = dg.clique(3)
+        h = handle(d, 4).materialize()
+        mis = solvers.max_independent_set(h)
+        assert len(mis.witness) == 16
+        assert not brute_is_subgroup(mis.witness, 3, 4)
+        colors = solvers._coset_coloring(h, mask_of(mis.witness))
+        assert max(colors) + 1 == 4
+        assert solvers._proper(h, colors) and brute_proper(d, 4, colors)
+
+    def test_rejected_witness_colorings_leave_chi_exact(self):
+        # every independent set of two or more codes, as the witness
+        verdicts = set()
+        for s, largest in ((2, 3), (3, 2)):
+            for n in range(largest + 1):
+                for d in all_digraphs(n):
+                    h = handle(d, s).materialize()
+                    chi = brute_chromatic(h.rows, h.n_configs)
+                    for mask in range(3, 1 << h.n_configs):
+                        codes = sorted(gg._mask_to_set(mask))
+                        if len(codes) < 2 or any(h.rows[x] & mask for x in codes):
+                            continue
+                        colors = solvers._coset_coloring(h, mask)
+                        verdicts.add(brute_proper(d, s, colors))
+                        res = solvers.chromatic_number(h, mis_witness=codes)
+                        assert (res.chi, res.exact) == (chi, True)
+        assert verdicts == {True, False}
+
+    def test_rejected_maximum_witness_leaves_chi_exact(self):
+        # the MIS witness is not a subgroup and its coloring is improper
+        d = dg.from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 0), (1, 2),
+                                  (1, 3), (2, 0), (2, 1), (2, 3), (3, 0)])
+        h = handle(d, 3)
+        mis = solvers.max_independent_set(h)
+        colors = solvers._coset_coloring(h, mask_of(mis.witness))
+        assert not solvers._proper(h, colors) and not brute_proper(d, 3, colors)
+        res = solvers.chromatic_number(h, mis_witness=mis.witness)
+        assert (res.chi, res.exact) == (3**h.mas.size, True) == (9, True)
+        assert brute_proper(d, 3, res.coloring)
 
     def test_independence_bound_skips_refuted_counts(self, monkeypatch):
         # the undirected pentagon over [2]: mas 2 gives chi >= 4, while
@@ -307,8 +361,8 @@ class TestHandleFacts:
 
     @staticmethod
     def counting(monkeypatch):
-        # the handle builds its masks through guessing_graph's binding; the
-        # all-ones seed reads its own protocol masks, not counted here
+        # both bindings count: the handle builds its masks through
+        # guessing_graph's, and solvers must read the handle's, not build more
         counts = {"mas": 0, "masks": 0}
         mas_exact, coordinate_masks = dg.mas_exact, gg.coordinate_masks
 
@@ -322,6 +376,7 @@ class TestHandleFacts:
 
         monkeypatch.setattr(dg, "mas_exact", counted_mas)
         monkeypatch.setattr(gg, "coordinate_masks", counted_masks)
+        monkeypatch.setattr(solvers, "coordinate_masks", counted_masks)
         return counts
 
     def cases(self):
@@ -387,42 +442,6 @@ def _span(gens, n, s):
     return group
 
 
-class TestIsSubgroup:
-    def test_matches_closure_oracle(self):
-        rng = random.Random(41)
-        checked = {True: 0, False: 0}
-        for s in (2, 3, 4, 5, 6):
-            for _ in range(30):
-                n = rng.randint(1, 3 if s > 3 else 4)
-                total = s**n
-                gens = [rng.randrange(total) for _ in range(rng.randint(0, 2))]
-                group = _span(gens, n, s)
-                outside = [x for x in range(total) if x not in group]
-                cases = [group, group - {0}]
-                if len(group) > 1:
-                    cases.append(group - {rng.choice(sorted(group - {0}))})
-                if outside:
-                    cases.append(group | {rng.choice(outside)})
-                cases.append({0} | set(rng.sample(range(total), rng.randint(0, total - 1))))
-                for codes in cases:
-                    expected = brute_is_subgroup(codes, n, s)
-                    assert solvers._is_subgroup(sorted(codes), n, s) == expected
-                    checked[expected] += 1
-        assert min(checked.values()) >= 100
-
-    def test_real_subgroups_are_accepted(self):
-        assert solvers._is_subgroup([0], 3, 2)
-        even = [gg.encode(w, 4) for w in ((0, 0), (2, 0), (0, 2), (2, 2))]
-        assert solvers._is_subgroup(even, 2, 4)  # 2Z_4 x 2Z_4
-        assert not solvers._is_subgroup(even[:3], 2, 4)
-        assert solvers._is_subgroup(range(36), 2, 6)
-
-    def test_above_the_cap_is_rejected(self):
-        # Z_2^13 is a subgroup of itself, but its 8192 codes exceed the cap
-        assert not solvers._is_subgroup(range(1 << 13), 13, 2)
-        assert solvers._is_subgroup(range(1 << 12), 12, 2)
-
-
 class TestCosetColoring:
     @staticmethod
     def check(n, s, codes):
@@ -468,26 +487,28 @@ class TestLinearSeedCodes:
             for _ in range(25):
                 d = random_digraph(rng, rng.randint(0, 6 if s == 2 else 4))
                 basis = gf_linear.full_support_fixed_basis(d, s)
-                assert solvers._linear_seed_codes(d, s) == mask_of(brute_span(basis, s))
+                assert solvers._linear_seed_codes(handle(d, s)) == mask_of(brute_span(basis, s))
             # several basis vectors, each zero on the other's coordinates
             for d in (dg.disjoint_union(dg.cycle(3), dg.cycle(3)),
                       dg.disjoint_union(dg.cycle(2), dg.cycle(4))):
                 basis = gf_linear.full_support_fixed_basis(d, s)
                 assert len(basis) >= 2
-                assert solvers._linear_seed_codes(d, s) == mask_of(brute_span(basis, s))
+                assert solvers._linear_seed_codes(handle(d, s)) == mask_of(brute_span(basis, s))
 
     def test_seed_is_a_subgroup_of_the_fixed_dimension(self):
-        # chromatic_number colours by the seed's cosets without testing it
+        # chromatic_number colours by the seed's cosets without testing it;
+        # the digit-sum strategy is Z_s-linear at composite s too
         rng = random.Random(45)
-        for s in (2, 3, 5):
+        for s in (2, 3, 4, 5, 6):
             for _ in range(25):
-                d = random_digraph(rng, rng.randint(0, 6 if s == 2 else 4), p=0.5)
-                codes = sorted(gg._mask_to_set(solvers._linear_seed_codes(d, s)))
+                d = random_digraph(rng, rng.randint(0, {2: 6, 3: 4, 5: 4}.get(s, 3)), p=0.5)
+                h = handle(d, s).materialize()
+                mask = solvers._linear_seed_codes(h)
+                codes = sorted(gg._mask_to_set(mask))
                 assert brute_is_subgroup(codes, d.n, s)
-                assert len(codes) == s ** gf_linear.full_support_fixed_dimension(d, s)
-
-    def test_composite_alphabets_have_no_seed(self):
-        assert solvers._linear_seed_codes(dg.clique(3), 4) == 0
+                assert not any(h.rows[x] & mask for x in codes)
+                if gf_linear._is_prime(s):
+                    assert len(codes) == s ** gf_linear.full_support_fixed_dimension(d, s)
 
 
 class TestProtocols:
@@ -621,13 +642,13 @@ class TestDifferentialSweep:
         if total <= 12:
             assert defect.chi == brute_chromatic(h.rows, total)
         assert mis.alpha * defect.chi >= total
-        seed = solvers._linear_seed_codes(d, s).bit_count()
+        seed = solvers._linear_seed_codes(h).bit_count()
         assert 1 <= seed <= mis.alpha
         assert defect.chi * seed <= total
         return space <= 10**5
 
     def test_every_small_digraph(self):
-        for s, largest in ((2, 3), (3, 2)):
+        for s, largest in ((2, 3), (3, 2), (4, 2)):
             for n in range(largest + 1):
                 for d in all_digraphs(n):
                     assert self.check(d, s)
