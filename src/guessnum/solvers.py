@@ -426,9 +426,10 @@ def chromatic_number(handle, mis_witness=None, node_budget=None, alpha_upper=Non
     (:func:`_coset_coloring`) from the all-ones linear strategy's fixed
     space and from the supplied witness, as bitmasks, and greedy DSATUR
     on bitmask state, run only when no coset coloring meets the lower
-    bound.  Sets of one code are skipped.  :func:`_proper` is the only
-    check: it keeps the proper candidates, subgroups or not, and
-    re-verifies the result.  The first candidate with the fewest colors
+    bound.  :func:`_proper` is the only check: it keeps the proper
+    candidates, subgroups or not, and re-verifies the result.  On an
+    acyclic digraph the seed is {0}, whose s^n singleton cosets meet the
+    bound s^n.  The first candidate with the fewest colors
     seeds iterative-deepening backtracking, which closes any gap left.
     """
     handle.materialize()
@@ -441,8 +442,6 @@ def chromatic_number(handle, mis_witness=None, node_budget=None, alpha_upper=Non
         independent.append(sum(1 << x for x in mis_witness))
     candidates = []
     for mask in independent:
-        if mask & (mask - 1) == 0:
-            continue
         colors = _coset_coloring(handle, mask)
         if _proper(handle, colors):
             candidates.append(colors)

@@ -210,8 +210,8 @@ class TestColoring:
             return greedy(rows, n)
 
         monkeypatch.setattr(solvers._search, "greedy_dsatur", counted)
-        # K_3 over [3]: the all-ones fixed space is {0}, one code, so no
-        # coset coloring is tried
+        # K_3 over [3]: the all-ones fixed space is {0}, whose 27 singleton
+        # cosets leave a gap above chi = 3
         res = solvers.chromatic_number(handle(dg.clique(3), 3))
         assert calls == [27]
         assert (res.chi, res.exact) == (3, True)
@@ -226,6 +226,22 @@ class TestColoring:
             assert res.exact
             assert res.chi == brute_chromatic(h.rows, h.n_configs)
         assert gaps >= 3
+
+    def test_acyclic_digraphs_colour_from_the_trivial_seed(self, monkeypatch):
+        # on a DAG, chi = s^n = s^mas is met by the singleton cosets of the
+        # all-ones fixed space {0}, so DSATUR never runs on the complete graph
+        def refuse(rows, n):
+            raise AssertionError("greedy_dsatur ran on an acyclic digraph")
+
+        monkeypatch.setattr(solvers._search, "greedy_dsatur", refuse)
+        for d, s in ((dg.path(8), 2), (dg.path(4), 3), (dg.from_edge_list(3, []), 4)):
+            h = handle(d, s)
+            assert solvers._linear_seed_codes(h) == 1
+            mis = solvers.max_independent_set(h)
+            for witness in (None, mis.witness):
+                res = solvers.chromatic_number(h, mis_witness=witness)
+                assert (res.chi, res.exact) == (s**d.n, True)
+                assert res.coloring == tuple(range(s**d.n))
 
     def test_latin_square_witness_closes_k3_over_z6(self):
         # the MIS witness is not a subgroup, yet its coloring meets s^mas
