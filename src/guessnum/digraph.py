@@ -340,49 +340,59 @@ def gf2_rank(rows):
     return len(pivots)
 
 
-def _greedy_acyclic_set(d):
+def _greedy_acyclic_set(out_rows, mask):
     # Pick ascending ids, discarding each pick's in-neighbourhood; edges
     # inside the result then all point forward, so it induces an acyclic
-    # subgraph of size >= n/(max in-degree + 1).
-    alive = set(range(d.n))
+    # subgraph of size >= |mask|/(max in-degree + 1).
     chosen = []
-    while alive:
-        v = min(alive)
+    while mask:
+        v = (mask & -mask).bit_length() - 1
         chosen.append(v)
-        alive.discard(v)
-        alive -= d.in_adj[v]
+        mask &= ~(1 << v)
+        mask &= ~sum(1 << u for u, row in enumerate(out_rows) if row >> v & 1)
     return tuple(chosen)
 
 
 def mas_exact(d, budget=DEFAULT_MAS_BUDGET):
     """Largest vertex set inducing an acyclic subgraph.
 
-    Branch and bound over subsets in ascending vertex order, pruning
-    inclusions that close a directed cycle.  Within budget the result is
-    exact and the witness is the lexicographically smallest optimum;
-    once the budget is exhausted the best set found so far is returned
-    with ``exact=False`` (still a valid acyclic witness).
-
-    The search stops as soon as it reaches the rank of I + A over GF(2):
-    the rows of I + A indexed by an acyclic set are independent (their
-    principal block is unitriangular in topological order), so no
-    acyclic set is larger.  The first set of that size in search order
-    is still the lexicographically smallest optimum.
+    The search of :func:`_mas_search` on the mask of every vertex:
+    within budget the result is exact and the witness is the
+    lexicographically smallest optimum; once the budget is exhausted the
+    best set found so far is returned with ``exact=False`` (still a
+    valid acyclic witness).
     """
-    n = d.n
-    if n == 0:
-        return MasResult(0, (), True)
-    out_rows = d.out_rows()
-    cap = gf2_rank([row | (1 << v) for v, row in enumerate(out_rows)])
+    return _mas_search(d.out_rows(), (1 << d.n) - 1, budget)
+
+
+def _mas_search(out_rows, mask, budget):
+    """Largest acyclic set among the vertices in the bit mask ``mask``.
+
+    ``out_rows`` holds each vertex's out-neighbours as a bit row.  Branch
+    and bound over subsets of ``mask`` in ascending vertex order, pruning
+    inclusions that close a directed cycle, so the result equals
+    :func:`mas_exact` on the induced subdigraph with its witness mapped
+    back to the original ids.
+
+    The search stops as soon as it reaches the GF(2) rank of the
+    principal block of I + A on ``mask``: the rows of that block indexed
+    by an acyclic set are independent (their principal block is
+    unitriangular in topological order), so no acyclic set is larger.
+    The first set of that size in search order is still the
+    lexicographically smallest optimum.
+    """
+    vs = [v for v in range(len(out_rows)) if mask >> v & 1]
+    k = len(vs)
+    cap = gf2_rank([(out_rows[v] | (1 << v)) & mask for v in vs])
     best_size = 0
     best = ()
     members = []
     nodes = 0
     exhausted = False
 
-    def closes_cycle(mask, v):
+    def closes_cycle(chosen, v):
         # v rejoins itself through the already-chosen vertices?
-        new_mask = mask | (1 << v)
+        new_mask = chosen | (1 << v)
         seen = 0
         frontier = out_rows[v] & new_mask
         while frontier:
@@ -398,7 +408,7 @@ def mas_exact(d, budget=DEFAULT_MAS_BUDGET):
             frontier = nxt & new_mask & ~seen
         return False
 
-    def dfs(idx, mask, count):
+    def dfs(idx, chosen, count):
         nonlocal best_size, best, nodes, exhausted
         if best_size == cap:
             return
@@ -406,24 +416,25 @@ def mas_exact(d, budget=DEFAULT_MAS_BUDGET):
         if nodes > budget:
             exhausted = True
             return
-        if count + (n - idx) <= best_size:
+        if count + (k - idx) <= best_size:
             return
-        if idx == n:
+        if idx == k:
             return
-        if not closes_cycle(mask, idx):
-            members.append(idx)
+        v = vs[idx]
+        if not closes_cycle(chosen, v):
+            members.append(v)
             if count + 1 > best_size:
                 best_size = count + 1
                 best = tuple(members)
-            dfs(idx + 1, mask | (1 << idx), count + 1)
+            dfs(idx + 1, chosen | (1 << v), count + 1)
             members.pop()
         if exhausted:
             return
-        dfs(idx + 1, mask, count)
+        dfs(idx + 1, chosen, count)
 
     dfs(0, 0, 0)
     if exhausted:
-        fallback = _greedy_acyclic_set(d)
+        fallback = _greedy_acyclic_set(out_rows, mask)
         if len(fallback) > best_size:
             best_size, best = len(fallback), fallback
         return MasResult(best_size, best, False)

@@ -9,7 +9,9 @@ coincide under ``A <-> -A``).
 
 Ranks over GF(2) use machine-word bit rows; other primes use tuples.
 The exhaustive search over coefficient patterns is one depth-first
-search for every prime: only its row reduction knows the field.  Every
+search for every prime: only its row reduction knows the field.  It
+prunes a partial pattern by the rank of its chosen rows plus the
+maximum acyclic set of the vertices they leave untouched.  Every
 fixed-space basis, of the all-ones strategy or of a witness, comes from
 one builder that re-verifies each vector against the local functions.
 Diagonal entries are never allowed in support-respecting matrices
@@ -352,6 +354,15 @@ def _min_rank_exhaustive(d, p, budget, floor=0):
     the minimum rank; the search stops once it is reached, since no
     later pattern can do strictly better.
 
+    A partial pattern is pruned when no completion can beat the best
+    rank so far.  Once rows 0..v-1 are chosen, every one of them is zero
+    on the columns U that none of their supports touches, and U lies
+    inside {v..n-1}.  So I + A is block lower-triangular and any
+    completion has rank at least rank(chosen rows) + rank((I + A)[U, U]),
+    which is at least the largest acyclic set of D[U] (Riis 2007).  Each
+    untouched mask's acyclic set is searched once per call.  A pruned
+    subtree holds no strict improvement, so the witness is unchanged.
+
     One search serves every prime; only ``push`` knows the field.  It
     reduces a row against the rows chosen so far and keeps it when it
     is independent: GF(2) rows are ints reduced at each pivot's lowest
@@ -359,6 +370,7 @@ def _min_rank_exhaustive(d, p, budget, floor=0):
     """
     n = d.n
     outs = [sorted(d.out_adj[v]) for v in range(n)]
+    out_rows = d.out_rows()
     if p ** d.edge_count() > budget:
         raise BadParams("pattern space exceeds budget")
     best = [n + 1, None]
@@ -397,25 +409,39 @@ def _min_rank_exhaustive(d, p, budget, floor=0):
             pivots.append((lead, tuple((e * inv) % p for e in vec)))
             return True
 
-    def dfs(v, rank, chosen):
+    every = (1 << n) - 1
+    acyclic = {}  # untouched mask -> size of an acyclic set of D[U]
+
+    def dfs(v, rank, chosen, touched):
         if rank >= best[0] or best[0] <= floor:
             return
+        untouched = every & ~touched
+        if rank + untouched.bit_count() >= best[0]:
+            if untouched not in acyclic:
+                acyclic[untouched] = dg._mas_search(
+                    out_rows, untouched, dg.DEFAULT_MAS_BUDGET
+                ).size
+            if rank + acyclic[untouched] >= best[0]:
+                return
         if v == n:
             best[0] = rank
             best[1] = dict(chosen)
             return
         for combo in itertools.product(range(p), repeat=len(outs[v])):
+            grown = touched | (1 << v)
             for j, val in zip(outs[v], combo):
                 chosen[(v, j)] = val
+                if val:
+                    grown |= 1 << j
             if push(v, combo):
-                dfs(v + 1, rank + 1, chosen)
+                dfs(v + 1, rank + 1, chosen, grown)
                 pivots.pop()
             else:
-                dfs(v + 1, rank, chosen)
+                dfs(v + 1, rank, chosen, grown)
         for j in outs[v]:
             chosen.pop((v, j), None)
 
-    dfs(0, 0, {})
+    dfs(0, 0, {}, 0)
     coeffs = best[1] if best[1] is not None else {}
     return best[0], _matrix_from_coeffs(d, p, coeffs)
 

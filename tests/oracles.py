@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 from guessnum.digraph import Digraph
+from guessnum.errors import BadParams
 from guessnum.gf_linear import GfMatrix, rank_gfp
 from guessnum.guessing_graph import decode, encode
 
@@ -120,6 +121,81 @@ def brute_min_rank(d, p):
         if best is None or rank < best[0]:
             best = (rank, tuple(map(tuple, a)))
     return best
+
+
+def unpruned_min_rank(d, p, budget, floor=0):
+    """Minimum rank(I + A) by the pattern search without a lower bound.
+
+    The depth-first search as it stood before its rank + acyclic-set
+    prune: vertices ascending, each row's coefficients ascending from
+    zero, pruned only by ``rank >= best`` and by ``floor``.  Returns the
+    minimum rank and the entries of the lexicographically first optimal
+    A, like :func:`brute_min_rank`, at sizes the listing cannot reach.
+    """
+    n = d.n
+    outs = [sorted(d.out_adj[v]) for v in range(n)]
+    if p ** d.edge_count() > budget:
+        raise BadParams("pattern space exceeds budget")
+    best = [n + 1, None]
+    pivots = []
+
+    if p == 2:
+
+        def push(v, combo):
+            vec = 1 << v
+            for j, bit in zip(outs[v], combo):
+                if bit:
+                    vec |= 1 << j
+            for prow in pivots:
+                low = prow & -prow
+                if vec & low:
+                    vec ^= prow
+            if vec:
+                pivots.append(vec)
+            return vec
+
+    else:
+
+        def push(v, combo):
+            vec = [0] * n
+            vec[v] = 1
+            for j, val in zip(outs[v], combo):
+                vec[j] = val
+            for col, row in pivots:
+                f = vec[col]
+                if f:
+                    vec = [(a - f * b) % p for a, b in zip(vec, row)]
+            lead = next((c for c in range(n) if vec[c]), None)
+            if lead is None:
+                return False
+            inv = pow(vec[lead], p - 2, p)
+            pivots.append((lead, tuple((e * inv) % p for e in vec)))
+            return True
+
+    def dfs(v, rank, chosen):
+        if rank >= best[0] or best[0] <= floor:
+            return
+        if v == n:
+            best[0] = rank
+            best[1] = dict(chosen)
+            return
+        for combo in itertools.product(range(p), repeat=len(outs[v])):
+            for j, val in zip(outs[v], combo):
+                chosen[(v, j)] = val
+            if push(v, combo):
+                dfs(v + 1, rank + 1, chosen)
+                pivots.pop()
+            else:
+                dfs(v + 1, rank, chosen)
+        for j in outs[v]:
+            chosen.pop((v, j), None)
+
+    dfs(0, 0, {})
+    coeffs = best[1] if best[1] is not None else {}
+    a = [[0] * n for _ in range(n)]
+    for (u, v), val in coeffs.items():
+        a[u][v] = val % p
+    return best[0], tuple(map(tuple, a))
 
 
 def full_support_matrix(d, p):

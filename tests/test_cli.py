@@ -58,6 +58,15 @@ class TestCommands:
         assert code == 0
         assert "g_linear=4" in out
 
+    def test_linear_sparse_non_divisor(self, files, capsys):
+        # x^5 + x^2 + 1 on 12 vertices needs the exhaustive pattern search
+        sparse = str(files["tmp"] / "sparse.dg")
+        code, _ = run(capsys, "cyclic-gen", "--poly", "x5+x2+1", "-n", "12", "-o", sparse)
+        assert code == 0
+        code, out = run(capsys, "linear", sparse, "-p", "2")
+        assert code == 0
+        assert out == "g_linear=4 exact=true"
+
     def test_cyclic_gen_report(self, files, capsys):
         code, out = run(capsys, "cyclic-gen", "--poly", "11101", "-n", "7", "--machine")
         assert code == 0

@@ -7,6 +7,7 @@ from guessnum import digraph as dg
 from guessnum.errors import BadParams, LoopEdge, VertexOutOfRange
 
 from oracles import (
+    all_digraphs,
     brute_mas,
     brute_mas_witness,
     brute_rank_gf2,
@@ -201,6 +202,24 @@ class TestMas:
         assert induces_acyclic(d, res.witness)
         assert res.size >= d.n / (dg.structure_report(d).max_in_degree + 1)
 
+
+    @pytest.mark.parametrize("budget", [dg.DEFAULT_MAS_BUDGET, 3])
+    def test_mask_search_matches_the_induced_subdigraph(self, budget):
+        # the same search, budget and greedy fallback, so the same result
+        # with the witness mapped back through the sorted vertex ids
+        rng = random.Random(10)
+        cases = [d for n in range(4) for d in all_digraphs(n)]
+        cases += [random_digraph(rng, rng.randint(5, 7)) for _ in range(12)]
+        for d in cases:
+            out_rows = d.out_rows()
+            for mask in range(1 << d.n):
+                vertices = [v for v in range(d.n) if mask >> v & 1]
+                sub, ids = dg.induced_subdigraph(d, vertices)
+                ref = dg.mas_exact(sub, budget=budget)
+                got = dg._mas_search(out_rows, mask, budget)
+                assert got == dg.MasResult(
+                    ref.size, tuple(ids[i] for i in ref.witness), ref.exact
+                )
 
 class TestCliquePartition:
     def test_clique(self):

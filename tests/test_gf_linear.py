@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,9 +11,12 @@ from guessnum import solvers
 from guessnum.errors import NonPrimeField
 
 from oracles import (
+    all_digraphs,
     brute_min_rank,
     full_support_matrix,
+    induces_acyclic,
     random_digraph,
+    unpruned_min_rank,
     witness_fixed_matrix,
 )
 
@@ -262,6 +266,21 @@ class TestAgainstOracles:
             checked += 1
         assert checked >= 20
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_min_rank_matches_unpruned_search(self, p):
+        # pattern spaces above the listing's 5 000 patterns, up to 2^16
+        rng = random.Random(120 + p)
+        checked = 0
+        while checked < 10:
+            d = random_digraph(rng, rng.randint(5, 7), rng.uniform(0.3, 0.5))
+            if not 5000 < p ** d.edge_count() <= 1 << 16:
+                continue
+            rank, witness = unpruned_min_rank(d, p, gl.DEFAULT_LINEAR_BUDGET)
+            for floor in (0, dg.mas_exact(d).size):
+                got = gl._min_rank_exhaustive(d, p, gl.DEFAULT_LINEAR_BUDGET, floor=floor)
+                assert (got[0], got[1].entries) == (rank, witness)
+            checked += 1
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_all_ones_basis_matches_reference(self, p):
         for d, _ in self.digraphs(100 + p, p, float("inf")):
@@ -286,6 +305,104 @@ class TestAgainstOracles:
         witness = gl.GfMatrix([[0, -1], [-1, 0]], p)
         with pytest.raises(AssertionError):
             gl.fixed_space_basis(dg.Digraph(2), p, witness)
+
+
+class TestPruneBound:
+    """Rows 0..v-1 chosen: every completion has rank at least the rank of
+    the chosen rows plus the largest acyclic set among the vertices that
+    no chosen row touches."""
+
+    @staticmethod
+    def check(d, p, ranks):
+        n = d.n
+        every = (1 << n) - 1
+        acyclic = [
+            m for m in range(1 << n) if induces_acyclic(d, [v for v in range(n) if m >> v & 1])
+        ]
+        mas = [max(m.bit_count() for m in acyclic if m & ~u == 0) for u in range(1 << n)]
+        choices = []
+        for v in range(n):
+            outs = sorted(d.out_adj[v])
+            rows = []
+            for combo in itertools.product(range(p), repeat=len(outs)):
+                row = [int(j == v) for j in range(n)]
+                for j, c in zip(outs, combo):
+                    row[j] = c
+                rows.append((tuple(row), sum(1 << j for j in range(n) if row[j])))
+            choices.append(rows)
+
+        def rank(rows):
+            if rows not in ranks:
+                ranks[rows] = gl.rank_gfp(gl.GfMatrix(rows, p))
+            return ranks[rows]
+
+        def walk(v, rows, touched):
+            # the least rank over every completion of ``rows``
+            if v == n:
+                return rank(rows)
+            least = min(
+                walk(v + 1, rows + (row,), touched | support) for row, support in choices[v]
+            )
+            assert least >= rank(rows) + mas[every & ~touched], (d.edges(), rows)
+            return least
+
+        walk(0, (), 0)
+
+    def test_every_small_digraph_over_gf2(self):
+        ranks = {}
+        for n in range(5):
+            for d in all_digraphs(n):
+                self.check(d, 2, ranks)
+
+    def test_seeded_four_vertex_digraphs_over_gf3(self):
+        rng = random.Random(130)
+        ranks = {}
+        checked = 0
+        while checked < 12:
+            d = random_digraph(rng, 4, rng.uniform(0.3, 0.6))
+            if d.edge_count() <= 8:
+                self.check(d, 3, ranks)
+                checked += 1
+
+
+class TestSparseNonDivisor:
+    """x^5 + x^2 + 1 on 12 vertices, the fixed sparse cyclic_sweep job."""
+
+    # support of the lexicographically first optimal pattern
+    WITNESS = (
+        (0, 10), (1, 8), (2, 9), (3, 1), (4, 11), (5, 0),
+        (6, 4), (7, 2), (8, 3), (9, 7), (10, 5), (11, 6),
+    )
+
+    @staticmethod
+    def digraph():
+        return cyclic.digraph_from_polynomial(cyclic.parse_poly("x5+x2+1"), 12)
+
+    def test_exact_with_the_first_optimal_pattern(self):
+        res = gl.linear_guessing_number(self.digraph(), 2)
+        assert (res.lower, res.upper, res.exact) == (4, 4, True)
+        assert res.provenance == ("exhaustive", "exhaustive")
+        assert res.witness.entries == tuple(
+            tuple(int((u, v) in self.WITNESS) for v in range(12)) for u in range(12)
+        )
+
+    def test_prune_cuts_the_search(self, monkeypatch):
+        # one itertools.product call per expanded node; the search
+        # without the rank + acyclic-set prune expands 59 428
+        nodes = 0
+        product = itertools.product
+
+        def counted(*args, **kwargs):
+            nonlocal nodes
+            nodes += 1
+            return product(*args, **kwargs)
+
+        monkeypatch.setattr(gl, "itertools", SimpleNamespace(product=counted))
+        rank, _ = gl._min_rank_exhaustive(
+            self.digraph(), 2, gl.DEFAULT_LINEAR_BUDGET, floor=8
+        )
+        assert rank == 8
+        assert nodes <= 3077
 
 
 class TestProductLower:

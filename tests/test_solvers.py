@@ -676,6 +676,18 @@ class TestDifferentialSweep:
             exhaustive += self.check(random_digraph(rng, 4, p=rng.choice([0.25, 0.5])), 2)
         assert exhaustive >= 4
 
+    def test_linear_value_bounds_alpha_and_chi(self):
+        # the best linear strategy fixes s^g_lin configurations, and the
+        # cosets of its fixed space colour the graph with s^(n - g_lin)
+        for n in range(4):
+            for d in all_digraphs(n):
+                g_lin = gf_linear.linear_guessing_number(d, 2, exhaustive=True).value
+                guess = solvers.guessing_number(d, 2)
+                defect = solvers.information_defect(d, 2)
+                assert guess.exact and defect.exact
+                assert guess.alpha >= 2**g_lin
+                assert defect.chi <= 2 ** (d.n - g_lin)
+
 
 class TestCodeSizes:
     def test_small_binary_values(self):
