@@ -340,7 +340,7 @@ def gf2_rank(rows):
     return len(pivots)
 
 
-def _greedy_acyclic_set(out_rows, mask):
+def _greedy_acyclic_set(in_rows, mask):
     # Pick ascending ids, discarding each pick's in-neighbourhood; edges
     # inside the result then all point forward, so it induces an acyclic
     # subgraph of size >= |mask|/(max in-degree + 1).
@@ -348,8 +348,7 @@ def _greedy_acyclic_set(out_rows, mask):
     while mask:
         v = (mask & -mask).bit_length() - 1
         chosen.append(v)
-        mask &= ~(1 << v)
-        mask &= ~sum(1 << u for u, row in enumerate(out_rows) if row >> v & 1)
+        mask &= ~(in_rows[v] | 1 << v)
     return tuple(chosen)
 
 
@@ -369,72 +368,88 @@ def _mas_search(out_rows, mask, budget):
     """Largest acyclic set among the vertices in the bit mask ``mask``.
 
     ``out_rows`` holds each vertex's out-neighbours as a bit row.  Branch
-    and bound over subsets of ``mask`` in ascending vertex order, pruning
-    inclusions that close a directed cycle, so the result equals
+    and bound over subsets of ``mask`` in ascending vertex order,
+    including a vertex before excluding it, so the result equals
     :func:`mas_exact` on the induced subdigraph with its witness mapped
     back to the original ids.
+
+    Each node carries a candidate mask: the later vertices that can join
+    the chosen set without closing a directed cycle.  A vertex that
+    closes a cycle with the chosen set closes one with every superset,
+    so it leaves the candidates of the whole subtree, and a node is cut
+    once count + |candidates| cannot beat the best set so far.  Every
+    chosen vertex keeps a reachability row: the out-neighbours of the
+    chosen vertices it reaches (itself included), that is, every vertex
+    it reaches through chosen ones.  Adding v, its row joins its out-row
+    to the rows of its chosen out-neighbours, and every chosen vertex
+    whose row holds v joins v's row.  A candidate then closes a cycle
+    exactly when v reaches it and it has an out-neighbour among v and
+    the chosen vertices that reach v.  The rows are copied on the way
+    down, so backtracking restores them.
 
     The search stops as soon as it reaches the GF(2) rank of the
     principal block of I + A on ``mask``: the rows of that block indexed
     by an acyclic set are independent (their principal block is
     unitriangular in topological order), so no acyclic set is larger.
     The first set of that size in search order is still the
-    lexicographically smallest optimum.
+    lexicographically smallest optimum.  ``budget`` caps the nodes, one
+    per inclusion; once it runs out the greedy set is returned if it is
+    larger.
     """
-    vs = [v for v in range(len(out_rows)) if mask >> v & 1]
-    k = len(vs)
-    cap = gf2_rank([(out_rows[v] | (1 << v)) & mask for v in vs])
+    n = len(out_rows)
+    in_rows = [0] * n
+    for u, row in enumerate(out_rows):
+        while row:
+            low = row & -row
+            in_rows[low.bit_length() - 1] |= 1 << u
+            row ^= low
+    cap = gf2_rank(
+        [(out_rows[v] | (1 << v)) & mask for v in range(n) if mask >> v & 1]
+    )
     best_size = 0
     best = ()
     members = []
     nodes = 0
     exhausted = False
 
-    def closes_cycle(chosen, v):
-        # v rejoins itself through the already-chosen vertices?
-        new_mask = chosen | (1 << v)
-        seen = 0
-        frontier = out_rows[v] & new_mask
-        while frontier:
-            if (frontier >> v) & 1:
-                return True
-            seen |= frontier
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= out_rows[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & new_mask & ~seen
-        return False
-
-    def dfs(idx, chosen, count):
+    def dfs(candidates, chosen, beyond, count):
+        # include each candidate in turn, ascending; excluding it is the
+        # next turn of the loop
         nonlocal best_size, best, nodes, exhausted
-        if best_size == cap:
-            return
-        nodes += 1
-        if nodes > budget:
-            exhausted = True
-            return
-        if count + (k - idx) <= best_size:
-            return
-        if idx == k:
-            return
-        v = vs[idx]
-        if not closes_cycle(chosen, v):
+        while count + candidates.bit_count() > best_size < cap:
+            nodes += 1
+            if nodes > budget:
+                exhausted = True
+                return
+            low = candidates & -candidates
+            candidates ^= low
+            v = low.bit_length() - 1
+            ahead = out_rows[v]  # one edge past every chosen vertex v reaches
+            m = ahead & chosen
+            while m:
+                b = m & -m
+                ahead |= beyond[b.bit_length() - 1]
+                m ^= b
+            grown = list(beyond)
+            grown[v] = ahead
+            behind = in_rows[v]  # one edge before every chosen vertex reaching v
+            if behind & chosen:
+                for u in members:
+                    if beyond[u] & low:
+                        grown[u] = beyond[u] | ahead
+                        behind |= in_rows[u]
             members.append(v)
             if count + 1 > best_size:
                 best_size = count + 1
                 best = tuple(members)
-            dfs(idx + 1, chosen | (1 << v), count + 1)
+            dfs(candidates & ~(ahead & behind), chosen | low, grown, count + 1)
             members.pop()
-        if exhausted:
-            return
-        dfs(idx + 1, chosen, count)
+            if exhausted:
+                return
 
-    dfs(0, 0, 0)
+    dfs(mask, 0, [0] * n, 0)
     if exhausted:
-        fallback = _greedy_acyclic_set(out_rows, mask)
+        fallback = _greedy_acyclic_set(in_rows, mask)
         if len(fallback) > best_size:
             best_size, best = len(fallback), fallback
         return MasResult(best_size, best, False)

@@ -8,8 +8,14 @@ whose support lies inside the adjacency support (the two minimizations
 coincide under ``A <-> -A``).
 
 Ranks over GF(2) use machine-word bit rows; other primes use tuples.
-The exhaustive search over coefficient patterns is one depth-first
-search for every prime: only its row reduction knows the field.  It
+One row reduction serves every prime and every search: int bit rows at
+p = 2, normalized pivot rows otherwise.  The greedy descent of the
+candidate strategies ranks its zeroing trials incrementally: one
+reduction of [I + A | I] records which rows make up each pivot, so it
+tells which rows lie in the span of the others (no zeroing there lowers
+the rank) and answers each other trial with one reduced unit vector; it
+is redone only when a zeroing is kept.  The exhaustive search over
+coefficient patterns is one depth-first search for every prime.  It
 prunes a partial pattern by the rank of its chosen rows plus the
 maximum acyclic set of the vertices they leave untouched.  Every
 fixed-space basis, of the all-ones strategy or of a witness, comes from
@@ -256,6 +262,59 @@ class LinearGuessingResult:
         return self.lower if self.exact else None
 
 
+def _row(p, n, u, entries):
+    """Row u of I + A, ``n`` entries wide, from its (column, value) entries.
+
+    An int bit row at p = 2, a list of residues otherwise: the two row
+    types that :func:`_reduce` and :func:`_push` work on.
+    """
+    if p == 2:
+        row = 1 << u
+        for v, val in entries:
+            if val % 2:
+                row |= 1 << v
+        return row
+    row = [0] * n
+    row[u] = 1
+    for v, val in entries:
+        row[v] = val % p
+    return row
+
+
+def _reduce(p, pivots, vec):
+    """The remainder of ``vec`` against ``pivots``; falsy iff in their span.
+
+    GF(2) pivots are ints reduced at their lowest bit; other primes keep
+    (pivot column, normalized row) pairs.  Each pivot is zero at the
+    pivot positions of the ones before it, so one pass in order clears
+    every pivot position.
+    """
+    if p == 2:
+        for prow in pivots:
+            if vec & prow & -prow:
+                vec ^= prow
+        return vec
+    for col, row in pivots:
+        f = vec[col]
+        if f:
+            vec = [(a - f * b) % p for a, b in zip(vec, row)]
+    return vec if any(vec) else None
+
+
+def _push(p, pivots, vec):
+    """Append ``vec``'s remainder to ``pivots`` if nonzero; True iff it was."""
+    vec = _reduce(p, pivots, vec)
+    if not vec:
+        return False
+    if p == 2:
+        pivots.append(vec)
+    else:
+        lead = next(c for c, e in enumerate(vec) if e)
+        inv = pow(vec[lead], p - 2, p)
+        pivots.append((lead, tuple((e * inv) % p for e in vec)))
+    return True
+
+
 def _rank_of_support(d, p, coeffs):
     """rank(I + A) for the coefficients ``{(u, v): value}`` on edges."""
     n = d.n
@@ -281,23 +340,99 @@ def _matrix_from_coeffs(d, p, coeffs):
     return GfMatrix(entries, p)
 
 
+def _tagged_reduction(p, n, tagged):
+    """Pivots of the rows of [I + A | I], the rank of I + A, and a mask.
+
+    Row w of I + A is tagged with e_w in the right block, so every pivot
+    is a combination of rows that records its coefficients.  The pivots
+    whose left block is zero span the dependencies among the rows, so
+    their right blocks cover exactly the rows that lie in the span of
+    the others; that set comes back as a bit mask.
+    """
+    pivots = []
+    for row in tagged:
+        _push(p, pivots, row)
+    dependencies = 0
+    dependent = 0
+    if p == 2:
+        left = (1 << n) - 1
+        for prow in pivots:
+            if not prow & left:
+                dependencies += 1
+                dependent |= prow >> n
+    else:
+        for lead, row in pivots:
+            if lead >= n:
+                dependencies += 1
+                dependent |= sum(1 << w for w in range(n) if row[n + w])
+    return pivots, n - dependencies, dependent
+
+
+def _combination(p, n, pivots, v):
+    """Coefficients y with y (I + A) = e_v, or None outside the row space.
+
+    Reducing [e_v | 0] against the pivots of :func:`_tagged_reduction`
+    leaves [e_v - y (I + A) | -y].  y is unique up to the dependencies,
+    so its coefficient on a row that no dependency uses is determined.
+    """
+    rem = _reduce(p, pivots, _row(p, 2 * n, v, ()))
+    if p == 2:
+        if rem & ((1 << n) - 1):
+            return None
+        return [rem >> (n + w) & 1 for w in range(n)]
+    if any(rem[:n]):
+        return None
+    return [-e % p for e in rem[n:]]
+
+
 def _descend(d, p, coeffs):
-    """Greedy coordinate descent on rank(I + A), zeroing entries."""
-    best_rank = _rank_of_support(d, p, coeffs)
+    """Greedy coordinate descent on rank(I + A), zeroing entries.
+
+    Each pass tries the nonzero entries in sorted edge order and keeps a
+    zeroing that lowers the rank, until a pass keeps none.  Zeroing the
+    entry c at (u, v) changes row u only, to r_u - c e_v.  If r_u lies
+    in the span S of the other rows, the rank cannot fall, so the row is
+    skipped.  Otherwise the row space is S + <r_u>, and the trial row
+    lies in S exactly when e_v = y (I + A) with c * y_u = 1.  So one
+    reduction of [I + A | I] (:func:`_tagged_reduction`) answers every
+    trial, each with one reduced vector, until a zeroing is kept; then
+    it is redone.  Returns the same (rank, coeffs) as re-ranking the
+    whole matrix for every trial.
+    """
+    n = d.n
+    outs = [[] for _ in range(n)]
+    for u, v in sorted(coeffs):
+        outs[u].append(v)
+    tagged = [
+        _row(p, 2 * n, w, [(v, coeffs[(w, v)]) for v in outs[w]] + [(n + w, 1)])
+        for w in range(n)
+    ]
+    pivots, best_rank, dependent = _tagged_reduction(p, n, tagged)
+    combinations = {}
     improved = True
     while improved:
         improved = False
-        for edge in sorted(coeffs):
-            if coeffs[edge] == 0:
+        for u in range(n):
+            if dependent >> u & 1:
                 continue
-            saved = coeffs[edge]
-            coeffs[edge] = 0
-            r = _rank_of_support(d, p, coeffs)
-            if r < best_rank:
-                best_rank = r
-                improved = True
-            else:
-                coeffs[edge] = saved
+            for v in outs[u]:
+                c = coeffs[(u, v)]
+                if not c:
+                    continue
+                if v not in combinations:
+                    combinations[v] = _combination(p, n, pivots, v)
+                y = combinations[v]
+                if y is not None and y[u] * c % p == 1:
+                    coeffs[(u, v)] = 0
+                    if p == 2:
+                        tagged[u] &= ~(1 << v)
+                    else:
+                        tagged[u][v] = 0
+                    best_rank -= 1
+                    improved = True
+                    pivots, _, dependent = _tagged_reduction(p, n, tagged)
+                    combinations = {}
+                    break
     return best_rank, dict(coeffs)
 
 
@@ -363,10 +498,9 @@ def _min_rank_exhaustive(d, p, budget, floor=0):
     untouched mask's acyclic set is searched once per call.  A pruned
     subtree holds no strict improvement, so the witness is unchanged.
 
-    One search serves every prime; only ``push`` knows the field.  It
-    reduces a row against the rows chosen so far and keeps it when it
-    is independent: GF(2) rows are ints reduced at each pivot's lowest
-    bit, other primes keep (pivot column, normalized row) pairs.
+    One search serves every prime; only the row reduction of
+    :func:`_push` knows the field.  It reduces a row against the rows
+    chosen so far and keeps it when it is independent.
     """
     n = d.n
     outs = [sorted(d.out_adj[v]) for v in range(n)]
@@ -376,38 +510,8 @@ def _min_rank_exhaustive(d, p, budget, floor=0):
     best = [n + 1, None]
     pivots = []
 
-    if p == 2:
-
-        def push(v, combo):
-            vec = 1 << v
-            for j, bit in zip(outs[v], combo):
-                if bit:
-                    vec |= 1 << j
-            for prow in pivots:
-                low = prow & -prow
-                if vec & low:
-                    vec ^= prow
-            if vec:
-                pivots.append(vec)
-            return vec
-
-    else:
-
-        def push(v, combo):
-            vec = [0] * n
-            vec[v] = 1
-            for j, val in zip(outs[v], combo):
-                vec[j] = val
-            for col, row in pivots:
-                f = vec[col]
-                if f:
-                    vec = [(a - f * b) % p for a, b in zip(vec, row)]
-            lead = next((c for c in range(n) if vec[c]), None)
-            if lead is None:
-                return False
-            inv = pow(vec[lead], p - 2, p)
-            pivots.append((lead, tuple((e * inv) % p for e in vec)))
-            return True
+    def push(v, combo):
+        return _push(p, pivots, _row(p, n, v, zip(outs[v], combo)))
 
     every = (1 << n) - 1
     acyclic = {}  # untouched mask -> size of an acyclic set of D[U]

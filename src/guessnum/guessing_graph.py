@@ -213,19 +213,35 @@ def degree_closed_form(digraph, s):
     Inclusion-exclusion over the digraph's independent sets (sets with no
     edge between members in either direction): each set I contributes
     (-1)^(|I|-1) * (s-1)^|I| * s^(n - |in_nbhd(I)| - |I|).
+
+    The sets are enumerated in ascending order, each one extended by the
+    vertices of an ``allowed`` bit mask: those above its last member and
+    outside every member's closed neighbourhood.  The terms depend only
+    on |I| and |in_nbhd(I)|, so they are read from a table built once
+    per call.
     """
     n = digraph.n
     in_rows = digraph.in_rows()
     out_rows = digraph.out_rows()
     blocked = [in_rows[v] | out_rows[v] for v in range(n)]
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * s)
+    weight = [()]  # weight[card][|in_nbhd|]
+    lead = -1  # -(1 - s)^card = (-1)^(card-1) * (s-1)^card
+    for card in range(1, n + 1):
+        lead *= 1 - s
+        weight.append([lead * powers[n - card - k] for k in range(n - card + 1)])
     total = 0
     visited = 0
 
-    def extend(start, size, in_union, forbidden):
+    def extend(allowed, size, in_union):
         nonlocal total, visited
-        for v in range(start, n):
-            if (forbidden >> v) & 1:
-                continue
+        row = weight[size + 1]
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            v = low.bit_length() - 1
             visited += 1
             if visited > _DEGREE_NODE_CAP:
                 raise SizeGuard(
@@ -234,13 +250,12 @@ def degree_closed_form(digraph, s):
                     guard=_DEGREE_NODE_CAP,
                 )
             union = in_union | in_rows[v]
-            card = size + 1
-            exponent = n - union.bit_count() - card
-            term = (s - 1) ** card * s**exponent
-            total += term if card % 2 == 1 else -term
-            extend(v + 1, card, union, forbidden | blocked[v] | (1 << v))
+            total += row[union.bit_count()]
+            if allowed & ~blocked[v]:
+                extend(allowed & ~blocked[v], size + 1, union)
 
-    extend(0, 0, 0, 0)
+    if n:
+        extend((1 << n) - 1, 0, 0)
     return total
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from guessnum.digraph import Digraph
+from guessnum.digraph import Digraph, MasResult, gf2_rank
 from guessnum.errors import BadParams
 from guessnum.gf_linear import GfMatrix, rank_gfp
 from guessnum.guessing_graph import decode, encode
@@ -196,6 +196,126 @@ def unpruned_min_rank(d, p, budget, floor=0):
     for (u, v), val in coeffs.items():
         a[u][v] = val % p
     return best[0], tuple(map(tuple, a))
+
+
+def rerank_rank_of_support(d, p, coeffs):
+    """rank(I + A) for the coefficients ``{(u, v): value}``, rebuilt from scratch."""
+    n = d.n
+    if p == 2:
+        rows = [1 << u for u in range(n)]
+        for (u, v), val in coeffs.items():
+            if val & 1:
+                rows[u] |= 1 << v
+        return gf2_rank(rows)
+    entries = [[0] * n for _ in range(n)]
+    for i in range(n):
+        entries[i][i] = 1
+    for (u, v), val in coeffs.items():
+        entries[u][v] = val % p
+    return rank_gfp(GfMatrix(entries, p))
+
+
+def rerank_descend(d, p, coeffs):
+    """Greedy coordinate descent on rank(I + A), re-ranking every trial.
+
+    The descent as it stood before its trials were ranked incrementally:
+    each zeroing rebuilds the whole matrix and ranks it afresh.
+    """
+    best_rank = rerank_rank_of_support(d, p, coeffs)
+    improved = True
+    while improved:
+        improved = False
+        for edge in sorted(coeffs):
+            if coeffs[edge] == 0:
+                continue
+            saved = coeffs[edge]
+            coeffs[edge] = 0
+            r = rerank_rank_of_support(d, p, coeffs)
+            if r < best_rank:
+                best_rank = r
+                improved = True
+            else:
+                coeffs[edge] = saved
+    return best_rank, dict(coeffs)
+
+
+def scan_greedy_acyclic_set(out_rows, mask):
+    """The greedy acyclic set, each in-neighbourhood found by a scan of ``out_rows``."""
+    chosen = []
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        chosen.append(v)
+        mask &= ~(1 << v)
+        mask &= ~sum(1 << u for u, row in enumerate(out_rows) if row >> v & 1)
+    return tuple(chosen)
+
+
+def bfs_mas_search(out_rows, mask, budget):
+    """Largest acyclic set in ``mask``, each inclusion checked by a BFS.
+
+    The branch and bound as it stood before it carried reachability rows
+    and a candidate mask: one index per node, a breadth-first search for
+    a cycle through every vertex it includes, the bound count plus the
+    vertices not yet decided, and the GF(2)-rank ``cap`` stop.
+    """
+    vs = [v for v in range(len(out_rows)) if mask >> v & 1]
+    k = len(vs)
+    cap = gf2_rank([(out_rows[v] | (1 << v)) & mask for v in vs])
+    best_size = 0
+    best = ()
+    members = []
+    nodes = 0
+    exhausted = False
+
+    def closes_cycle(chosen, v):
+        # v rejoins itself through the already-chosen vertices?
+        new_mask = chosen | (1 << v)
+        seen = 0
+        frontier = out_rows[v] & new_mask
+        while frontier:
+            if (frontier >> v) & 1:
+                return True
+            seen |= frontier
+            nxt = 0
+            m = frontier
+            while m:
+                low = m & -m
+                nxt |= out_rows[low.bit_length() - 1]
+                m ^= low
+            frontier = nxt & new_mask & ~seen
+        return False
+
+    def dfs(idx, chosen, count):
+        nonlocal best_size, best, nodes, exhausted
+        if best_size == cap:
+            return
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        if count + (k - idx) <= best_size:
+            return
+        if idx == k:
+            return
+        v = vs[idx]
+        if not closes_cycle(chosen, v):
+            members.append(v)
+            if count + 1 > best_size:
+                best_size = count + 1
+                best = tuple(members)
+            dfs(idx + 1, chosen | (1 << v), count + 1)
+            members.pop()
+        if exhausted:
+            return
+        dfs(idx + 1, chosen, count)
+
+    dfs(0, 0, 0)
+    if exhausted:
+        fallback = scan_greedy_acyclic_set(out_rows, mask)
+        if len(fallback) > best_size:
+            best_size, best = len(fallback), fallback
+        return MasResult(best_size, best, False)
+    return MasResult(best_size, best, True)
 
 
 def full_support_matrix(d, p):

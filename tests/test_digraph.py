@@ -8,11 +8,13 @@ from guessnum.errors import BadParams, LoopEdge, VertexOutOfRange
 
 from oracles import (
     all_digraphs,
+    bfs_mas_search,
     brute_mas,
     brute_mas_witness,
     brute_rank_gf2,
     induces_acyclic,
     random_digraph,
+    scan_greedy_acyclic_set,
 )
 
 
@@ -220,6 +222,100 @@ class TestMas:
                 assert got == dg.MasResult(
                     ref.size, tuple(ids[i] for i in ref.witness), ref.exact
                 )
+
+
+class TestMasSearchAgainstBfs:
+    """The reachability-row search against the BFS search it replaced."""
+
+    @staticmethod
+    def small_cases():
+        # every vertex mask of every digraph with n <= 4
+        for n in range(5):
+            for d in all_digraphs(n):
+                yield d, range(1 << n)
+
+    @staticmethod
+    def seeded_cases(seed):
+        rng = random.Random(seed)
+        for _ in range(24):
+            d = random_digraph(rng, rng.randint(5, 12), rng.uniform(0.15, 0.6))
+            masks = [(1 << d.n) - 1] + [rng.getrandbits(d.n) for _ in range(12)]
+            yield d, masks
+
+    @staticmethod
+    def circulants(seed):
+        # the sparse non-divisor x^5 + x^2 + 1 at n = 12, then a sparse and
+        # a dense random generator for every n from 12 to 20
+        rng = random.Random(seed)
+        gens = [(cyclic.parse_poly("x5+x2+1"), 12)]
+        for n in range(12, 21):
+            sparse = 1 | sum(1 << e for e in rng.sample(range(1, n), rng.randint(2, 4)))
+            dense = 1 | rng.getrandbits(n - 1) << 1
+            gens += [(cyclic.Gf2Poly(sparse), n), (cyclic.Gf2Poly(dense), n)]
+        for g, n in gens:
+            yield cyclic.digraph_from_polynomial(g, n), [(1 << n) - 1]
+
+    def all_cases(self):
+        yield from self.small_cases()
+        yield from self.seeded_cases(11)
+        yield from self.circulants(12)
+
+    def test_default_budget_matches(self):
+        budget = dg.DEFAULT_MAS_BUDGET
+        for d, masks in self.all_cases():
+            out_rows = d.out_rows()
+            for mask in masks:
+                got = dg._mas_search(out_rows, mask, budget)
+                assert got == bfs_mas_search(out_rows, mask, budget)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5])
+    def test_small_budgets_give_acyclic_lower_bounds(self, budget):
+        cases = [(d, range(1 << d.n)) for n in range(4) for d in all_digraphs(n)]
+        cases += list(self.seeded_cases(13)) + list(self.circulants(14))
+        inexact = 0
+        for d, masks in cases:
+            out_rows = d.out_rows()
+            for mask in masks:
+                full = dg._mas_search(out_rows, mask, dg.DEFAULT_MAS_BUDGET)
+                got = dg._mas_search(out_rows, mask, budget)
+                assert all(mask >> v & 1 for v in got.witness)
+                assert len(set(got.witness)) == got.size
+                assert induces_acyclic(d, got.witness)
+                assert got.size >= len(scan_greedy_acyclic_set(out_rows, mask))
+                # an exact answer is the optimum with the smallest witness;
+                # a search whose budget ran out says so
+                if got.exact:
+                    assert got == full
+                if got.size < full.size:
+                    assert not got.exact
+                inexact += not got.exact
+        assert inexact > 0
+
+    def test_greedy_matches_the_scan(self):
+        rng = random.Random(15)
+        cases = [(d, range(1 << d.n)) for n in range(4) for d in all_digraphs(n)]
+        for _ in range(30):
+            d = random_digraph(rng, rng.randint(4, 16), rng.uniform(0.1, 0.6))
+            cases.append((d, [(1 << d.n) - 1] + [rng.getrandbits(d.n) for _ in range(10)]))
+        for d, masks in cases:
+            in_rows, out_rows = d.in_rows(), d.out_rows()
+            for mask in masks:
+                got = dg._greedy_acyclic_set(in_rows, mask)
+                assert got == scan_greedy_acyclic_set(out_rows, mask)
+
+    def test_node_ceiling_on_a_dense_non_divisor(self):
+        # x^12 + x^10 + x^9 + x^7 + x^2 + 1 does not divide x^20 + 1; its
+        # 100-edge circulant has mas 8 under a GF(2)-rank cap of 18, so the
+        # bound alone closes the search.  The budget counts nodes, so an
+        # exact answer at 2 186 means at most 2 186 nodes; the BFS search
+        # needs 32 259 of its own.
+        g = cyclic.parse_poly("x12+x10+x9+x7+x2+1")
+        assert not cyclic.divides_xn1(g, 20)
+        d = cyclic.digraph_from_polynomial(g, 20)
+        out_rows, every = d.out_rows(), (1 << 20) - 1
+        assert dg._mas_search(out_rows, every, 2186) == dg.MasResult(8, tuple(range(8)), True)
+        assert not bfs_mas_search(out_rows, every, 32258).exact
+
 
 class TestCliquePartition:
     def test_clique(self):

@@ -16,6 +16,7 @@ from oracles import (
     full_support_matrix,
     induces_acyclic,
     random_digraph,
+    rerank_descend,
     unpruned_min_rank,
     witness_fixed_matrix,
 )
@@ -234,6 +235,48 @@ class TestStoppedSearches:
                 res = gl.linear_guessing_number(d, p, exhaustive=mode)
                 assert res.lower <= res.upper
                 assert len(gl.fixed_space_basis(d, p, res.witness)) >= res.lower
+
+
+class TestDescent:
+    """The descent against re-ranking the whole matrix for every trial."""
+
+    @staticmethod
+    def starts(d, p):
+        # the five descent starts of _lower_candidates: all-ones, then
+        # four samples from Random(0)
+        edges = d.edges()
+        yield {e: 1 for e in edges}
+        rng = random.Random(0)
+        for _ in range(4):
+            yield {e: rng.randrange(p) for e in edges}
+
+    def check(self, d, p):
+        for start in self.starts(d, p):
+            assert gl._descend(d, p, dict(start)) == rerank_descend(d, p, dict(start))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_seeded_digraphs(self, p):
+        rng = random.Random(130 + p)
+        for _ in range(20):
+            self.check(random_digraph(rng, rng.randint(1, 10), rng.uniform(0.2, 0.7)), p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_circulants(self, p):
+        # a divisor of x^n + 1 (its gcd with a random polynomial) and a
+        # random generator for every n from 12 to 20; the random ones stay
+        # sparse off GF(2), where each re-ranked trial costs a dense
+        # elimination
+        rng = random.Random(140 + p)
+        for n in range(12, 21):
+            xn1 = cyclic.x_power_plus_one(n)
+            divisor = cyclic.Gf2Poly(1)
+            while not 0 < divisor.degree < n:
+                divisor = xn1.gcd(cyclic.Gf2Poly(rng.getrandbits(n)))
+            weight = rng.randint(3, n // 2 if p == 2 else 4)
+            exps = rng.sample(range(1, n), weight - 1)
+            generator = cyclic.Gf2Poly(1 | sum(1 << e for e in exps))
+            for g in (divisor, generator):
+                self.check(cyclic.digraph_from_polynomial(g, n), p)
 
 
 class TestAgainstOracles:

@@ -191,6 +191,27 @@ class TestDegreeClosedForm:
             s = rng.choice([2, 3])
             assert gg.degree_closed_form(d, s) == brute_degree(d, s)
 
+    def test_cap_counts_every_nonempty_independent_set(self, monkeypatch):
+        # the enumeration visits each nonempty independent set once, so the
+        # guard trips exactly when the cap is one below their number
+        rng = random.Random(6)
+        for _ in range(20):
+            d = random_digraph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.5))
+            sets = sum(
+                1
+                for k in range(1, d.n + 1)
+                for vs in itertools.combinations(range(d.n), k)
+                if not any(d.has_edge(u, v) for u in vs for v in vs)
+            )
+            monkeypatch.setattr(gg, "_DEGREE_NODE_CAP", sets)
+            expected = gg.degree_closed_form(d, 3)
+            monkeypatch.setattr(gg, "_DEGREE_NODE_CAP", sets - 1)
+            with pytest.raises(SizeGuard) as exc:
+                gg.degree_closed_form(d, 3)
+            assert (exc.value.needed, exc.value.guard) == (sets, sets - 1)
+            if d.n <= 5:
+                assert expected == brute_degree(d, 3)
+
 
 class TestMaterialize:
     def test_clique_is_the_cube(self):
