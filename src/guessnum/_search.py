@@ -12,35 +12,15 @@ import sys
 sys.setrecursionlimit(100_000)
 
 
-def _clique_cover_bound(rows, candidates):
-    # Greedy partition of the candidate set into cliques; an independent
-    # set meets each clique at most once, so the count bounds it.
-    cliques = 0
-    remaining = candidates
-    while remaining:
-        cliques += 1
-        low = remaining & -remaining
-        v = low.bit_length() - 1
-        remaining ^= low
-        grow = remaining & rows[v]
-        while grow:
-            low = grow & -grow
-            u = low.bit_length() - 1
-            remaining ^= low
-            grow = (grow ^ low) & rows[u]
-    return cliques
-
-
-def max_independent_set(rows, n, bound=None, seed_mask=0, node_budget=None):
+def max_independent_set(rows, n, bound, seed_mask=0, node_budget=None):
     """Exact maximum independent set on a bitmask graph.
 
-    ``bound``: optional function from a candidate mask to an upper bound
-    on the independent sets inside it, such as the number of classes of
-    a fixed clique cover that the candidates meet.  Without one, a
-    greedy clique cover is rebuilt per node.  ``seed_mask`` is a known
-    independent set used only to tighten the initial bound; the
-    returned witness is the lexicographically smallest optimum (as a
-    sorted vertex tuple).
+    ``bound``: the caller's function from a candidate mask to an upper
+    bound on the independent sets inside it, such as the number of
+    classes of a fixed clique cover that the candidates meet.
+    ``seed_mask`` is a known independent set used only to tighten the
+    initial bound; the returned witness is the lexicographically
+    smallest optimum (as a sorted vertex tuple).
 
     Returns (size, witness_mask, exact).
     """
@@ -50,10 +30,6 @@ def max_independent_set(rows, n, bound=None, seed_mask=0, node_budget=None):
     best_mask = seed_mask
     nodes = 0
     exhausted = False
-
-    if bound is None:
-        def bound(candidates):
-            return _clique_cover_bound(rows, candidates)
 
     def dfs(size, mask, candidates):
         nonlocal best_size, best_mask, nodes, exhausted

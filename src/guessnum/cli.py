@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from . import cyclic, digraph, gf_linear, netcode, solvers
-from .errors import GuessnumError, SizeGuard
+from .errors import BadParams, GuessnumError, SizeGuard
 from .guessing_graph import DEFAULT_GUARD, GuessingGraph, write_edge_list
 
 
@@ -270,7 +270,10 @@ def cmd_netcode_convert(args):
         return 0
     d = _load_digraph(args.input)
     if args.intermediates:
-        chosen = [int(v) for v in args.intermediates.split(",")]
+        try:
+            chosen = [int(v) for v in args.intermediates.split(",")]
+        except ValueError:
+            raise BadParams(f"malformed vertex list {args.intermediates!r}") from None
     else:
         chosen = list(digraph.mas_exact(d).witness)
     instance = netcode.from_digraph(d, chosen)

@@ -135,16 +135,13 @@ def parse_poly(text):
         return Gf2Poly(bits)
     bits = 0
     for term in text.split("+"):
-        if term in {"1", "x0"}:
+        if term == "1":
             bits ^= 1
-        elif term == "x":
-            bits ^= 2
-        elif term.startswith("x^"):
-            bits ^= 1 << int(term[2:])
-        elif term.startswith("x"):
-            bits ^= 1 << int(term[1:])
-        else:
+            continue
+        exponent = term[2:] if term.startswith("x^") else (term[1:] or "1")
+        if not term.startswith("x") or not exponent.isdecimal():
             raise BadParams(f"cannot parse polynomial term {term!r}")
+        bits ^= 1 << int(exponent)
     return Gf2Poly(bits)
 
 

@@ -629,13 +629,17 @@ def from_text(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if n is None:
-            n = int(line)
-            continue
         parts = line.split()
-        if len(parts) != 2:
-            raise BadParams(f"malformed edge line {raw!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        if len(parts) != (1 if n is None else 2):
+            raise BadParams(f"malformed line {raw!r}")
+        try:
+            numbers = [int(p) for p in parts]
+        except ValueError:
+            raise BadParams(f"malformed number in line {raw!r}") from None
+        if n is None:
+            n = numbers[0]
+        else:
+            edges.append(tuple(numbers))
     if n is None:
         raise BadParams("empty digraph file")
     return Digraph(n, edges)

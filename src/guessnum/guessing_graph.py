@@ -68,6 +68,32 @@ def coordinate_masks(n, s):
     return masks
 
 
+def _translated_rows(zero_row, n, s, masks):
+    """Rows of a Cayley graph on Z_s^n: row x is ``zero_row`` translated by x.
+
+    Translating a row by the unit vector e_i, with block = s^i, rotates
+    the bit blocks inside each period s^(i+1): the lower s-1 blocks
+    move up by one block and the top block wraps round to the bottom,
+    read through the :func:`coordinate_masks` ``masks`` of n and s.
+    Rows are filled coordinate by coordinate from ``rows[x + block] =
+    rows[x] + e_i`` for every x whose coordinate i is below s-1, one
+    code path for every alphabet.
+    """
+    total = s**n
+    rows = [0] * total
+    rows[0] = zero_row
+    every_bit = (1 << total) - 1
+    for i in range(n):
+        block = s**i
+        wrap = (s - 1) * block
+        high = masks[i][s - 1]
+        low = every_bit ^ high
+        for x in range(wrap):
+            r = rows[x]
+            rows[x + block] = ((r & low) << block) | ((r & high) >> wrap)
+    return rows
+
+
 class GuessingGraph:
     """Handle on the configuration graph of ``digraph`` over ``[s]``.
 
@@ -159,34 +185,12 @@ class GuessingGraph:
     # -- materialization ----------------------------------------------
 
     def materialize(self):
-        """Build explicit adjacency rows by translating the zero row.
-
-        The graph is a Cayley graph on Z_s^n, so row x is the zero row
-        translated by x.  Translating a row by the unit vector e_i, with
-        block = s^i, rotates the bit blocks inside each period s^(i+1):
-        the lower s-1 blocks move up by one block and the top block
-        wraps round to the bottom.  Rows are filled coordinate by
-        coordinate from ``rows[x + block] = rows[x] + e_i`` for every x
-        whose coordinate i is below s-1, one code path for every
-        alphabet.
-        """
+        """Build explicit adjacency rows: :func:`_translated_rows` of the
+        zero row (guarded)."""
         if self.rows is not None:
             return self
         self._within_guard(f"materialization needs {self.s}^{self.n} = {self.n_configs}")
-        s, total = self.s, self.n_configs
-        rows = [0] * total
-        rows[0] = self._row(0)
-        every_bit = (1 << total) - 1
-        masks = self.masks
-        for i in range(self.n):
-            block = s**i
-            wrap = (s - 1) * block
-            high = masks[i][s - 1]
-            low = every_bit ^ high
-            for x in range(wrap):
-                r = rows[x]
-                rows[x + block] = ((r & low) << block) | ((r & high) >> wrap)
-        self.rows = rows
+        self.rows = _translated_rows(self._row(0), self.n, self.s, self.masks)
         return self
 
     @property

@@ -21,6 +21,7 @@ from .guessing_graph import (
     DEFAULT_GUARD,
     GuessingGraph,
     _mask_to_set,
+    _translated_rows,
     coordinate_masks,
     decode,
     degree_closed_form,
@@ -214,17 +215,18 @@ class MisResult:
     upper: int | None = None
 
 
-def _exterior_clique_cover(handle, acyclic):
+def _exterior_clique_cover(masks, s, coords):
     """Branch bound: how many cover classes a candidate mask meets.
 
-    Configurations agreeing outside an acyclic induced set mutually
-    conflict, so each class is a clique of size s^len(set).  Folding
-    the mask along each coordinate i of the set (OR of its shifts down
-    by t * s^i, t < s, kept where coordinate i is 0) leaves one bit per
-    class met, so the count is a popcount.
+    The classes are the codes that agree outside ``coords``; each is a
+    clique when those coordinates form an acyclic induced set of the
+    digraph, or, in the code-distance graph, when they are fewer than
+    the distance.  Folding the mask along each coordinate i of
+    ``coords`` (OR of its shifts down by t * s^i, t < s, kept where
+    coordinate i is 0, read from the :func:`coordinate_masks`
+    ``masks``) leaves one bit per class met, so the count is a popcount.
     """
-    s = handle.s
-    folds = [(handle.masks[i][0], [t * s**i for t in range(1, s)]) for i in acyclic]
+    folds = [(masks[i][0], [t * s**i for t in range(1, s)]) for i in coords]
 
     def bound(candidates):
         for zero, shifts in folds:
@@ -267,7 +269,7 @@ def max_independent_set(handle, node_budget=None):
     False when ``node_budget`` ran out.
     """
     handle.materialize()
-    bound = _exterior_clique_cover(handle, handle.mas.witness)
+    bound = _exterior_clique_cover(handle.masks, handle.s, handle.mas.witness)
     size, mask, exact = _search.max_independent_set(
         handle.rows, handle.n_configs, bound=bound,
         seed_mask=_linear_seed_codes(handle), node_budget=node_budget,
@@ -513,34 +515,49 @@ class CodeSizeResult:
         return self.value if self.exact else self.lower
 
 
-def _hamming(x, y, n, s):
-    xs, ys = decode(x, n, s), decode(y, n, s)
-    return sum(1 for a, b in zip(xs, ys) if a != b)
+def _distance_rows(n, d, s):
+    """Rows of the code-distance graph on Z_s^n: x ~ y when 0 < d(x, y) < d.
+
+    It is a Cayley graph, so its zero row, the words of weight 1..d-1,
+    is translated by :func:`_translated_rows`.  ``weight[k]`` holds the
+    codes with k nonzero coordinates, counted one coordinate at a time
+    over the coordinate masks; the classes are disjoint, so their sum
+    is their union.  Returns (masks, rows).
+    """
+    masks = coordinate_masks(n, s)
+    weight = [(1 << s**n) - 1]
+    for zero, *_ in masks:
+        weight = [(w & zero) | (fewer & ~zero)
+                  for w, fewer in zip(weight + [0], [0] + weight)]
+    return masks, _translated_rows(sum(weight[1:d]), n, s, masks)
 
 
-def _lexicode(n, d, s):
-    total = s**n
-    if total > _LEXICODE_CAP:
-        # repetition code: s words, pairwise distance n >= d
-        return tuple(encode((v,) * n, s) for v in range(s)) if d <= n else (0,)
-    chosen = []
-    for x in range(total):
-        if all(_hamming(x, y, n, s) >= d for y in chosen):
-            chosen.append(x)
-    return tuple(chosen)
+def _lexicode(rows):
+    """Greedy independent set in ascending order, as a bitmask."""
+    chosen = 0
+    free = (1 << len(rows)) - 1
+    while free:
+        low = free & -free
+        chosen |= low
+        free &= ~(rows[low.bit_length() - 1] | low)
+    return chosen
 
 
 @lru_cache(maxsize=None)
 def a_s_exact(n, d, s):
     """Maximum size of a length-n code over [s] with minimum distance d.
 
-    Pinches a greedy lexicographic code against the Singleton and
-    sphere-packing bounds; if a gap remains and s^n fits the guard, an
-    exact independent-set search over the distance-conflict graph
-    settles it (one codeword fixed to 0 by translation invariance).
+    Pinches the lexicode against the Singleton and sphere-packing
+    bounds; if a gap remains and s^n fits the guard, an exact
+    independent-set search over the code-distance graph settles it,
+    bounded by the Singleton cover (codes that agree outside
+    coordinates 0..d-2 are pairwise within distance d - 1).  A
+    translation moves any optimum onto one that contains 0, so the
+    lexicographically smallest optimum, the witness, contains 0.
+    Beyond s^n = 2^10 the lower witness is the repetition code.
     """
-    if n < 1 or s < 2:
-        raise BadParams("need n >= 1 and s >= 2")
+    if n < 0 or s < 2:
+        raise BadParams("need n >= 0 and s >= 2")
     if d < 1:
         raise BadParams("distance must be >= 1")
     total = s**n
@@ -552,32 +569,26 @@ def a_s_exact(n, d, s):
     sphere = total // ball
     if d == 1:
         return CodeSizeResult(n, d, s, True, total, total, (), singleton, sphere)
-    witness = _lexicode(n, d, s)
+    if total > _LEXICODE_CAP:
+        # repetition code: s words, pairwise distance n >= d
+        code_mask = sum(1 << encode((v,) * n, s) for v in range(s))
+    else:
+        masks, rows = _distance_rows(n, d, s)
+        code_mask = _lexicode(rows)
+    witness = tuple(sorted(_mask_to_set(code_mask)))
     lower = len(witness)
-    upper = min(singleton, sphere)
-    if lower == upper:
+    if lower == min(singleton, sphere):
         return CodeSizeResult(n, d, s, True, lower, lower, witness, singleton, sphere)
     if total > DEFAULT_CODE_SEARCH_GUARD:
         return CodeSizeResult(n, d, s, False, None, lower, witness, singleton, sphere)
-    allowed = [x for x in range(1, total) if _hamming(0, x, n, s) >= d]
-    index = {x: i for i, x in enumerate(allowed)}
-    rows = [0] * len(allowed)
-    for i, x in enumerate(allowed):
-        for j in range(i + 1, len(allowed)):
-            if _hamming(x, allowed[j], n, s) < d:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    seed_mask = 0
-    for c in witness:
-        if c in index:
-            seed_mask |= 1 << index[c]
-    size, mask, _ = _search.max_independent_set(
-        rows, len(allowed), seed_mask=seed_mask
+    # the search guard lies below _LEXICODE_CAP, so the rows are built
+    value, mask, _ = _search.max_independent_set(
+        rows, total, _exterior_clique_cover(masks, s, range(d - 1)),
+        seed_mask=code_mask,
     )
-    codewords = [0] + [allowed[i] for i in _mask_to_set(mask)]
-    value = size + 1
     return CodeSizeResult(
-        n, d, s, True, value, value, tuple(sorted(codewords)), singleton, sphere
+        n, d, s, True, value, value, tuple(sorted(_mask_to_set(mask))),
+        singleton, sphere,
     )
 
 
@@ -683,12 +694,14 @@ def bounds_report(d, s):
                         n - len(scc.components),
                         "one short of each strong component"))
     acyclic = report.girth is None
-    if report.bidirectional_edge_count == 0 and n >= 1:
+    sparse = report.bidirectional_edge_count == 0 and n >= 1
+    why_not_sparse = "digraph is empty" if n == 0 else "bidirectional edges present"
+    if sparse:
         bounds.append(Bound("no_bidirectional_sphere", "g", "upper",
                             n - log_s((s - 1) * n + 1),
                             "sphere packing at distance 3"))
     else:
-        skipped.append(("no_bidirectional_sphere", "bidirectional edges present"))
+        skipped.append(("no_bidirectional_sphere", why_not_sparse))
     if not acyclic:
         girth_code = a_s_exact(n, report.girth, s)
         bounds.append(Bound("code_girth", "g", "upper",
@@ -732,12 +745,12 @@ def bounds_report(d, s):
                             dim, "all-ones linear strategy"))
     else:
         skipped.append(("full_support_linear", "alphabet is not prime"))
-    if report.bidirectional_edge_count == 0 and n >= 1:
+    if sparse:
         for value, tag in gf_linear._sparse_linear_uppers(d, s):
             bounds.append(Bound(tag.replace("-", "_"), "g_linear", "upper",
                                 value, "row-space counting"))
     else:
-        skipped.append(("row_count", "bidirectional edges present"))
+        skipped.append(("row_count", why_not_sparse))
     g_lower_now = max(
         [b.value for b in bounds if b.kind == "lower" and b.target in {"g", "g_linear"}],
         default=0.0,

@@ -8,11 +8,14 @@ used to check.
 from __future__ import annotations
 
 import itertools
+import math
 
+from guessnum import _search
 from guessnum.digraph import Digraph, MasResult, gf2_rank
 from guessnum.errors import BadParams
 from guessnum.gf_linear import GfMatrix, rank_gfp
-from guessnum.guessing_graph import decode, encode
+from guessnum.guessing_graph import _mask_to_set, decode, encode
+from guessnum.solvers import DEFAULT_CODE_SEARCH_GUARD, _LEXICODE_CAP, CodeSizeResult
 
 
 def brute_adjacent(d, s, x, y):
@@ -387,6 +390,88 @@ def code_of_size_exists(n, d, s, size):
         ):
             return True
     return False
+
+
+def greedy_clique_cover_bound(rows, candidates):
+    """Greedy partition of the candidates into cliques, rebuilt per call;
+    an independent set meets each clique at most once."""
+    cliques = 0
+    remaining = candidates
+    while remaining:
+        cliques += 1
+        low = remaining & -remaining
+        v = low.bit_length() - 1
+        remaining ^= low
+        grow = remaining & rows[v]
+        while grow:
+            low = grow & -grow
+            u = low.bit_length() - 1
+            remaining ^= low
+            grow = (grow ^ low) & rows[u]
+    return cliques
+
+
+def pairwise_lexicode(n, d, s):
+    """Greedy lexicographic code, each candidate compared with every
+    chosen word; the repetition code beyond s^n = 2^10."""
+    total = s**n
+    if total > _LEXICODE_CAP:
+        # repetition code: s words, pairwise distance n >= d
+        return tuple(encode((v,) * n, s) for v in range(s)) if d <= n else (0,)
+    chosen = []
+    for x in range(total):
+        if all(hamming(x, y, n, s) >= d for y in chosen):
+            chosen.append(x)
+    return tuple(chosen)
+
+
+def pairwise_a_s_exact(n, d, s):
+    """``solvers.a_s_exact`` before its distance graph was translated:
+    the graph is built pair by pair over the codes far from 0 (one
+    codeword fixed to 0 by translation invariance) and searched under a
+    greedy clique cover rebuilt per node.  It shares only the search
+    loop ``_search.max_independent_set`` with the solver."""
+    if n < 1 or s < 2:
+        raise BadParams("need n >= 1 and s >= 2")
+    if d < 1:
+        raise BadParams("distance must be >= 1")
+    total = s**n
+    if d > n:
+        return CodeSizeResult(n, d, s, True, 1, 1, (0,), 1, 1)
+    singleton = s ** (n - d + 1)
+    radius = (d - 1) // 2
+    ball = sum(math.comb(n, i) * (s - 1) ** i for i in range(radius + 1))
+    sphere = total // ball
+    if d == 1:
+        return CodeSizeResult(n, d, s, True, total, total, (), singleton, sphere)
+    witness = pairwise_lexicode(n, d, s)
+    lower = len(witness)
+    upper = min(singleton, sphere)
+    if lower == upper:
+        return CodeSizeResult(n, d, s, True, lower, lower, witness, singleton, sphere)
+    if total > DEFAULT_CODE_SEARCH_GUARD:
+        return CodeSizeResult(n, d, s, False, None, lower, witness, singleton, sphere)
+    allowed = [x for x in range(1, total) if hamming(0, x, n, s) >= d]
+    index = {x: i for i, x in enumerate(allowed)}
+    rows = [0] * len(allowed)
+    for i, x in enumerate(allowed):
+        for j in range(i + 1, len(allowed)):
+            if hamming(x, allowed[j], n, s) < d:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    seed_mask = 0
+    for c in witness:
+        if c in index:
+            seed_mask |= 1 << index[c]
+    size, mask, _ = _search.max_independent_set(
+        rows, len(allowed), lambda c: greedy_clique_cover_bound(rows, c),
+        seed_mask=seed_mask,
+    )
+    codewords = [0] + [allowed[i] for i in _mask_to_set(mask)]
+    value = size + 1
+    return CodeSizeResult(
+        n, d, s, True, value, value, tuple(sorted(codewords)), singleton, sphere
+    )
 
 
 def brute_chromatic(rows, n):

@@ -159,6 +159,32 @@ class TestExitCodes:
             cli.main(["guess"])  # missing digraph argument
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("text", ["three\n", "3\n0 x\n"])
+    def test_malformed_digraph_number_is_four(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.dg"
+        bad.write_text(text)
+        code, _ = run(capsys, "guess", str(bad), "-s", "2")
+        assert code == 4
+
+    @pytest.mark.parametrize("poly", ["x-1", "xa", "x^"])
+    def test_malformed_polynomial_is_four(self, capsys, poly):
+        code, _ = run(capsys, "cyclic-gen", "--poly", poly, "-n", "7")
+        assert code == 4
+
+    def test_malformed_intermediates_is_four(self, files, capsys):
+        out = str(files["tmp"] / "out.nc")
+        code, _ = run(capsys, "netcode-convert", files["c4"],
+                      "--intermediates", "a,b", "-o", out)
+        assert code == 4
+
+    @pytest.mark.parametrize("command", ["bounds", "report"])
+    def test_empty_digraph_bounds(self, capsys, tmp_path, command):
+        empty = tmp_path / "empty.dg"
+        empty.write_text("0\n")
+        code, out = run(capsys, command, str(empty), "-s", "2")
+        assert code == 0
+        assert "skipped.row_count=digraph is empty" in out
+
     def test_bad_family_params_is_four(self, files, capsys):
         code, _ = run(capsys, "family", "--kind", "three_t", "--t", "6")
         assert code == 4

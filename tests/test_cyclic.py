@@ -13,8 +13,14 @@ P = cyclic.parse_poly
 class TestPolyArithmetic:
     def test_parse_forms_agree(self):
         assert P("11101") == P("x4+x2+x+1")
-        assert P("11") == P("x+1")
+        assert P("11") == P("x+1") == P("x0+x")
         assert P("1") == cyclic.Gf2Poly(1)
+        assert P("x^3+x+1") == P("x3+x+1") == P("1101")
+
+    def test_malformed_terms_rejected(self):
+        for text in ("x-1", "xa", "x^", "x^-2", "x+"):
+            with pytest.raises(BadParams):
+                P(text)
 
     def test_multiplication(self):
         assert P("11") * P("1011") == P("11101")  # (x+1)(x^3+x^2+1) = x^4+x^2+x+1

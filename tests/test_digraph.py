@@ -458,6 +458,11 @@ class TestTextFormats:
         assert d.n == 4
         assert d.edges() == [(0, 1), (2, 3)]
 
+    def test_malformed_numbers_rejected(self):
+        for text in ("three\n", "3\n0 x\n", "3 4\n", "3\n0 1 2\n"):
+            with pytest.raises(BadParams):
+                dg.from_text(text)
+
     def test_file_round_trip(self, tmp_path):
         d = dg.clique(3)
         path = tmp_path / "k3.dg"

@@ -80,13 +80,16 @@ class TestMaxIndependentSet:
                 d = random_digraph(rng, n)
                 total = s**n
                 mas = dg.mas_exact(d).witness
-                subsets = [mas, (), tuple(v for v in mas if rng.random() < 0.5)]
+                # the Singleton cover's coordinates 0..d-2 need not be acyclic
+                subsets = [mas, (), tuple(v for v in mas if rng.random() < 0.5),
+                           tuple(range(rng.randint(1, n)))]
                 sets = [0, (1 << total) - 1, 1, 1 << total - 1]
                 sets += [rng.getrandbits(total) for _ in range(8)]
                 sets += [rng.getrandbits(total) & rng.getrandbits(total)
                          & rng.getrandbits(total) for _ in range(8)]
                 for acyclic in subsets:
-                    bound = solvers._exterior_clique_cover(handle(d, s), acyclic)
+                    bound = solvers._exterior_clique_cover(
+                        gg.coordinate_masks(n, s), s, acyclic)
                     for c in sets:
                         assert bound(c) == brute_exterior_classes(d, s, acyclic, c)
 
@@ -698,7 +701,10 @@ class TestCodeSizes:
         assert solvers.a_s_exact(4, 1, 3).value == 81
 
     def test_distance_beyond_length(self):
-        assert solvers.a_s_exact(3, 4, 2).value == 1
+        # length 0 included: the empty word alone
+        for n, d, s in ((3, 4, 2), (0, 1, 2), (0, 2, 3)):
+            res = solvers.a_s_exact(n, d, s)
+            assert res.exact and res.value == 1 and res.lower_witness == (0,)
 
     def test_hamming_point(self):
         res = solvers.a_s_exact(7, 3, 2)
@@ -730,6 +736,30 @@ class TestCodeSizes:
         assert not res.exact
         assert res.lower <= res.upper
 
+    def test_distance_rows_are_the_hamming_graph(self):
+        from oracles import hamming
+
+        for s, top in ((2, 4), (3, 3), (4, 2), (5, 2)):
+            for n in range(1, top + 1):
+                for d in range(1, n + 2):
+                    _, rows = solvers._distance_rows(n, d, s)
+                    assert len(rows) == s**n
+                    for x, row in enumerate(rows):
+                        assert row == sum(1 << y for y in range(s**n)
+                                          if 0 < hamming(x, y, n, s) < d)
+
+    def test_equals_the_pairwise_reference(self):
+        from oracles import pairwise_a_s_exact
+
+        # every (n, d, s) with s <= 5 and s^n <= 2^10, witnesses included
+        for s in range(2, 6):
+            n = 1
+            while s**n <= 1 << 10:
+                for d in range(1, n + 2):
+                    assert solvers.a_s_exact(n, d, s) == pairwise_a_s_exact(n, d, s), \
+                        (n, d, s)
+                n += 1
+
 
 class TestBoundsReport:
     def test_product_of_cycles_pinches(self):
@@ -752,6 +782,16 @@ class TestBoundsReport:
         assert "code_girth" not in names
         skipped = dict(rep.skipped)
         assert "code_girth" in skipped
+
+    def test_empty_digraph_and_sparse_skip_reasons(self):
+        for d, s, reason in ((dg.Digraph(0), 2, "digraph is empty"),
+                             (dg.Digraph(0), 3, "digraph is empty"),
+                             (dg.clique(3), 2, "bidirectional edges present")):
+            rep = solvers.bounds_report(d, s)
+            assert rep.g_lower <= rep.g_upper <= d.n
+            skipped = dict(rep.skipped)
+            assert skipped["no_bidirectional_sphere"] == reason
+            assert skipped["row_count"] == reason
 
     def test_chain_sound_on_random_strong_digraphs(self):
         rng = random.Random(29)
