@@ -570,12 +570,13 @@ def a_s_exact(n, d, s):
     if d == 1:
         return CodeSizeResult(n, d, s, True, total, total, (), singleton, sphere)
     if total > _LEXICODE_CAP:
-        # repetition code: s words, pairwise distance n >= d
-        code_mask = sum(1 << encode((v,) * n, s) for v in range(s))
+        # repetition code: s words, pairwise distance n >= d; no rows
+        # are built, since s^n-bit masks would not fit in memory
+        witness = tuple(encode((v,) * n, s) for v in range(s))
     else:
         masks, rows = _distance_rows(n, d, s)
         code_mask = _lexicode(rows)
-    witness = tuple(sorted(_mask_to_set(code_mask)))
+        witness = tuple(sorted(_mask_to_set(code_mask)))
     lower = len(witness)
     if lower == min(singleton, sphere):
         return CodeSizeResult(n, d, s, True, lower, lower, witness, singleton, sphere)

@@ -736,6 +736,16 @@ class TestCodeSizes:
         assert not res.exact
         assert res.lower <= res.upper
 
+    def test_repetition_witness_beyond_lexicode_cap(self):
+        from oracles import pairwise_a_s_exact
+
+        # s^n far beyond the cap: no s^n-bit mask may be built
+        res = solvers.a_s_exact(40, 3, 2)
+        assert res.lower_witness == (0, 2**40 - 1) and not res.exact
+        assert solvers.a_s_exact(40, 3, 3).lower_witness == (0, (3**40 - 1) // 2, 3**40 - 1)
+        for n, d, s in ((11, 3, 2), (12, 5, 2), (7, 3, 3), (64, 2, 2)):
+            assert solvers.a_s_exact(n, d, s) == pairwise_a_s_exact(n, d, s), (n, d, s)
+
     def test_distance_rows_are_the_hamming_graph(self):
         from oracles import hamming
 
