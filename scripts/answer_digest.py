@@ -31,6 +31,12 @@ each digraph, ``linear_guessing_number`` in each ``exhaustive`` mode
 ``full_support_fixed_basis``.  A pattern budget of 2^16 keeps each
 exhaustive search small.
 
+Last, the script digests a fixed seeded set of random matrices over
+GF(2), GF(3), GF(5) and GF(7), 1 to 9 rows and columns, tall and wide,
+some of low rank by construction and with zeroed rows and columns: one
+line per matrix with its ``rank_gfp`` and a SHA-256 of its pickled
+``nullspace_gfp`` basis.  No digraph job builds such shapes.
+
 To check that a change leaves every answer as it was, run it on two
 checkouts and compare the output::
 
@@ -62,6 +68,9 @@ PRIMES = ((3, 5), (5, 4))  # (field, largest vertex count)
 PRIME_SEED = 11
 PRIME_JOBS = 30  # per field
 LINEAR_BUDGET = 1 << 16  # coefficient patterns an exhaustive search may list
+MATRIX_FIELDS = (2, 3, 5, 7)
+MATRIX_SEED = 13
+MATRIX_JOBS = 50  # per field
 
 
 class Library:
@@ -157,6 +166,28 @@ def linear_summary(answer):
     return "linear=" + ",".join(bracket(res) for res, _ in answer[1:])
 
 
+def seeded_matrices(lib, seed, fields, count):
+    """Seeded random matrices: ``count`` per field, 1 to 9 rows and columns."""
+    rng = random.Random(seed)
+    for p in fields:
+        for index in range(count):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+            if rng.random() < 0.5:  # rank at most k
+                k = rng.randint(1, min(rows, cols))
+                left = [[rng.randrange(p) for _ in range(k)] for _ in range(rows)]
+                right = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
+                entries = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                           for row in left]
+            else:
+                entries = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+            for i in rng.sample(range(rows), rng.randint(0, rows // 2)):
+                entries[i] = [0] * cols
+            for j in rng.sample(range(cols), rng.randint(0, cols // 2)):
+                for row in entries:
+                    row[j] = 0
+            yield p, index, lib.gf_linear.GfMatrix(entries, p)
+
+
 def line(answer, summary):
     """The answer's summary, then the SHA-256 of the pickled answer."""
     return f"{summary(answer)} {hashlib.sha256(pickle.dumps(answer)).hexdigest()}"
@@ -192,6 +223,10 @@ def main(argv=None):
         answer = linear_answer(lib, d, p)
         label = f"random-p{p}-n{d.n}-e{len(d.edges())}"
         print(f"prime_linear p{p} {index:4d} {label} {line(answer, linear_summary)}")
+    gl = lib.gf_linear
+    for p, index, m in seeded_matrices(lib, MATRIX_SEED, MATRIX_FIELDS, MATRIX_JOBS):
+        basis = hashlib.sha256(pickle.dumps(gl.nullspace_gfp(m))).hexdigest()
+        print(f"matrix p{p} {index:4d} {m.rows}x{m.cols} rank={gl.rank_gfp(m)} {basis}")
 
 
 if __name__ == "__main__":

@@ -7,14 +7,17 @@ strategy is found by minimizing ``rank(I + A)`` over all matrices ``A``
 whose support lies inside the adjacency support (the two minimizations
 coincide under ``A <-> -A``).
 
-Ranks over GF(2) use machine-word bit rows; other primes use tuples.
-One row reduction serves every prime and every search: int bit rows at
-p = 2, normalized pivot rows otherwise.  The greedy descent of the
-candidate strategies ranks its zeroing trials incrementally: one
-reduction of [I + A | I] records which rows make up each pivot, so it
-tells which rows lie in the span of the others (no zeroing there lowers
-the rank) and answers each other trial with one reduced unit vector; it
-is redone only when a zeroing is kept.  The exhaustive search over
+One row reduction serves every prime and every search: machine-word
+bit rows at p = 2, normalized pivot rows otherwise.  A rank counts the
+rows it keeps.  Tagging each vector with its own unit vector makes it
+return the dependencies among the vectors too: a nullspace is the
+dependencies among a matrix's columns, and a strategy's fixed space
+those among the rows of I - C.  The greedy descent of the candidate
+strategies ranks its zeroing trials incrementally: one tagged reduction
+of the rows of I + A records which rows make up each pivot, so it tells
+which rows lie in the span of the others (no zeroing there lowers the
+rank) and answers each other trial with one reduced unit vector; it is
+redone only when a zeroing is kept.  The exhaustive search over
 coefficient patterns is one depth-first search for every prime.  It
 prunes a partial pattern by the rank of its chosen rows plus the
 maximum acyclic set of the vertices they leave untouched.  Every
@@ -123,52 +126,105 @@ class GfMatrix:
         return f"GfMatrix({self.rows}x{self.cols}, p={self.p})"
 
 
-def _eliminate(matrix):
-    """Reduced row echelon form over GF(p): (rows, pivot columns).
+# -- the row reduction ------------------------------------------------
 
-    Row i has a 1 in the i-th pivot column and 0 in the other ones.
+
+def _reduce(p, pivots, vec):
+    """The remainder of ``vec`` against ``pivots``; falsy iff in their span.
+
+    GF(2) pivots are ints reduced at their lowest bit; other primes keep
+    (pivot column, normalized row) pairs.  Each pivot is zero at the
+    pivot positions of the ones before it, so one pass in order clears
+    every pivot position.
     """
-    p = matrix.p
-    work = [list(row) for row in matrix.entries]
-    pivot_cols = []
-    for c in range(matrix.cols):
-        r = len(pivot_cols)
-        if r == matrix.rows:
-            break
-        pivot = next((i for i in range(r, matrix.rows) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = pow(work[r][c], p - 2, p)
-        work[r] = [(e * inv) % p for e in work[r]]
-        for i in range(matrix.rows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[r])]
-        pivot_cols.append(c)
-    return work, pivot_cols
+    if p == 2:
+        for prow in pivots:
+            if vec & prow & -prow:
+                vec ^= prow
+        return vec
+    for col, row in pivots:
+        f = vec[col]
+        if f:
+            vec = [(a - f * b) % p for a, b in zip(vec, row)]
+    return vec if any(vec) else None
+
+
+def _push(p, pivots, vec):
+    """Append ``vec``'s remainder to ``pivots`` if nonzero; True iff it was."""
+    vec = _reduce(p, pivots, vec)
+    if not vec:
+        return False
+    if p == 2:
+        pivots.append(vec)
+    else:
+        lead = next(c for c, e in enumerate(vec) if e)
+        inv = pow(vec[lead], p - 2, p)
+        pivots.append((lead, tuple((e * inv) % p for e in vec)))
+    return True
+
+
+def _as_row(p, entries):
+    """An entry list as the row type of :func:`_reduce`."""
+    if p == 2:
+        return sum((e & 1) << j for j, e in enumerate(entries))
+    return [e % p for e in entries]
+
+
+def _rank(p, rows):
+    """The number of ``rows`` that :func:`_push` keeps: their rank."""
+    pivots = []
+    return sum(_push(p, pivots, row) for row in rows)
+
+
+def _reduction(p, width, vectors):
+    """Pivots of the tagged ``vectors`` and the dependencies among them.
+
+    Vector w, ``width`` entries wide, is tagged with e_w past its width,
+    so a remainder [r | t] has r = t V.  The ones with r nonzero become
+    pivots, whose tags involve only kept vectors.  So a vector in the
+    span of the ones before it leaves the dependency t with 1 on itself
+    and 0 on every other such vector: the basis that reduced row echelon
+    form reads off its free columns, in the same order.
+    Dependencies stay in the row type (ints at p = 2).
+    """
+    pivots, dependencies = [], []
+    count = len(vectors)
+    for w, vec in enumerate(vectors):
+        if p == 2:
+            rem = _reduce(p, pivots, vec | 1 << (width + w))
+            left, tag = rem & ((1 << width) - 1), rem >> width
+        else:
+            rem = _reduce(p, pivots, vec + [int(j == w) for j in range(count)])
+            left, tag = any(rem[:width]), rem[width:]
+        if not left:
+            dependencies.append(tag)
+        elif p == 2:
+            pivots.append(rem)
+        else:
+            _push(p, pivots, rem)  # normalizes; rem is already reduced
+    return pivots, dependencies
+
+
+def _dependencies(p, width, vectors):
+    """The dependencies of :func:`_reduction` as coordinate tuples."""
+    found = _reduction(p, width, vectors)[1]
+    if p == 2:
+        return [tuple(dep >> j & 1 for j in range(len(vectors))) for dep in found]
+    return [tuple(dep) for dep in found]
 
 
 def rank_gfp(matrix):
     """Row-echelon rank over GF(p)."""
-    if matrix.p == 2:
-        return dg.gf2_rank([sum(e << j for j, e in enumerate(row)) for row in matrix.entries])
-    return len(_eliminate(matrix)[1])
+    return _rank(matrix.p, [_as_row(matrix.p, row) for row in matrix.entries])
 
 
 def nullspace_gfp(matrix):
-    """Basis of the right nullspace over GF(p), as coordinate tuples."""
-    p, cols = matrix.p, matrix.cols
-    work, pivot_cols = _eliminate(matrix)
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        vec = [0] * cols
-        vec[fc] = 1
-        for i, pc in enumerate(pivot_cols):
-            vec[pc] = (-work[i][fc]) % p
-        basis.append(tuple(vec))
-    return basis
+    """Basis of the right nullspace over GF(p), as coordinate tuples.
+
+    The dependencies among the matrix's columns (:func:`_reduction`).
+    """
+    columns = [_as_row(matrix.p, column) for column in zip(*matrix.entries)]
+    return _dependencies(matrix.p, matrix.rows, columns)
 
 
 # -- digraph-shaped matrices ------------------------------------------
@@ -213,17 +269,18 @@ def parity_check_protocol(d):
 def _fixed_basis(d, p, coeffs):
     """Fixed-space basis of the strategy x_v = sum of coeffs[(u, v)] * x_u.
 
-    The fixed configurations are the nullspace of I - C^T, where C holds
-    ``coeffs``; row v of that matrix encodes x_v minus v's combination.
-    Each basis vector is re-verified against the local functions, which
-    read only v's in-neighbours, so a basis that relies on a coefficient
-    off the edges fails the check.
+    The fixed configurations are the x with x (I - C) = 0, where C holds
+    ``coeffs``: the dependencies among the rows of I - C
+    (:func:`_reduction`).  Each row sums its entries, so a diagonal
+    coefficient c gives 1 - c there.  Each basis vector is re-verified
+    against the local functions, which read only v's in-neighbours, so a
+    basis that relies on a coefficient off the edges fails the check.
     """
     n = d.n
-    rows = [[int(u == v) for u in range(n)] for v in range(n)]
+    rows = [[int(u == v) for v in range(n)] for u in range(n)]
     for (u, v), c in coeffs.items():
-        rows[v][u] -= c
-    basis = nullspace_gfp(GfMatrix(rows, p))
+        rows[u][v] -= c
+    basis = _dependencies(p, n, [_as_row(p, row) for row in rows])
     local = [[(u, coeffs.get((u, v), 0)) for u in d.in_adj[v]] for v in range(n)]
     for vec in basis:
         for v in range(n):
@@ -281,55 +338,12 @@ def _row(p, n, u, entries):
     return row
 
 
-def _reduce(p, pivots, vec):
-    """The remainder of ``vec`` against ``pivots``; falsy iff in their span.
-
-    GF(2) pivots are ints reduced at their lowest bit; other primes keep
-    (pivot column, normalized row) pairs.  Each pivot is zero at the
-    pivot positions of the ones before it, so one pass in order clears
-    every pivot position.
-    """
-    if p == 2:
-        for prow in pivots:
-            if vec & prow & -prow:
-                vec ^= prow
-        return vec
-    for col, row in pivots:
-        f = vec[col]
-        if f:
-            vec = [(a - f * b) % p for a, b in zip(vec, row)]
-    return vec if any(vec) else None
-
-
-def _push(p, pivots, vec):
-    """Append ``vec``'s remainder to ``pivots`` if nonzero; True iff it was."""
-    vec = _reduce(p, pivots, vec)
-    if not vec:
-        return False
-    if p == 2:
-        pivots.append(vec)
-    else:
-        lead = next(c for c, e in enumerate(vec) if e)
-        inv = pow(vec[lead], p - 2, p)
-        pivots.append((lead, tuple((e * inv) % p for e in vec)))
-    return True
-
-
 def _rank_of_support(d, p, coeffs):
     """rank(I + A) for the coefficients ``{(u, v): value}`` on edges."""
-    n = d.n
-    if p == 2:
-        rows = [1 << u for u in range(n)]
-        for (u, v), val in coeffs.items():
-            if val & 1:
-                rows[u] |= 1 << v
-        return dg.gf2_rank(rows)
-    entries = [[0] * n for _ in range(n)]
-    for i in range(n):
-        entries[i][i] = 1
+    entries = [[] for _ in range(d.n)]
     for (u, v), val in coeffs.items():
-        entries[u][v] = val % p
-    return rank_gfp(GfMatrix(entries, p))
+        entries[u].append((v, val))
+    return _rank(p, [_row(p, d.n, u, entries[u]) for u in range(d.n)])
 
 
 def _matrix_from_coeffs(d, p, coeffs):
@@ -340,32 +354,16 @@ def _matrix_from_coeffs(d, p, coeffs):
     return GfMatrix(entries, p)
 
 
-def _tagged_reduction(p, n, tagged):
-    """Pivots of the rows of [I + A | I], the rank of I + A, and a mask.
-
-    Row w of I + A is tagged with e_w in the right block, so every pivot
-    is a combination of rows that records its coefficients.  The pivots
-    whose left block is zero span the dependencies among the rows, so
-    their right blocks cover exactly the rows that lie in the span of
-    the others; that set comes back as a bit mask.
+def _tagged_reduction(p, n, rows):
+    """Pivots of the tagged rows of I + A (:func:`_reduction`), its rank,
+    and the bit mask of the rows in the span of the others: the union of
+    the supports of the dependencies, which span every dependency.
     """
-    pivots = []
-    for row in tagged:
-        _push(p, pivots, row)
-    dependencies = 0
+    pivots, dependencies = _reduction(p, n, rows)
     dependent = 0
-    if p == 2:
-        left = (1 << n) - 1
-        for prow in pivots:
-            if not prow & left:
-                dependencies += 1
-                dependent |= prow >> n
-    else:
-        for lead, row in pivots:
-            if lead >= n:
-                dependencies += 1
-                dependent |= sum(1 << w for w in range(n) if row[n + w])
-    return pivots, n - dependencies, dependent
+    for dep in dependencies:
+        dependent |= dep if p == 2 else sum(1 << w for w, e in enumerate(dep) if e)
+    return pivots, n - len(dependencies), dependent
 
 
 def _combination(p, n, pivots, v):
@@ -394,7 +392,7 @@ def _descend(d, p, coeffs):
     in the span S of the other rows, the rank cannot fall, so the row is
     skipped.  Otherwise the row space is S + <r_u>, and the trial row
     lies in S exactly when e_v = y (I + A) with c * y_u = 1.  So one
-    reduction of [I + A | I] (:func:`_tagged_reduction`) answers every
+    tagged reduction of I + A (:func:`_tagged_reduction`) answers every
     trial, each with one reduced vector, until a zeroing is kept; then
     it is redone.  Returns the same (rank, coeffs) as re-ranking the
     whole matrix for every trial.
@@ -403,11 +401,8 @@ def _descend(d, p, coeffs):
     outs = [[] for _ in range(n)]
     for u, v in sorted(coeffs):
         outs[u].append(v)
-    tagged = [
-        _row(p, 2 * n, w, [(v, coeffs[(w, v)]) for v in outs[w]] + [(n + w, 1)])
-        for w in range(n)
-    ]
-    pivots, best_rank, dependent = _tagged_reduction(p, n, tagged)
+    rows = [_row(p, n, w, [(v, coeffs[(w, v)]) for v in outs[w]]) for w in range(n)]
+    pivots, best_rank, dependent = _tagged_reduction(p, n, rows)
     combinations = {}
     improved = True
     while improved:
@@ -425,12 +420,12 @@ def _descend(d, p, coeffs):
                 if y is not None and y[u] * c % p == 1:
                     coeffs[(u, v)] = 0
                     if p == 2:
-                        tagged[u] &= ~(1 << v)
+                        rows[u] &= ~(1 << v)
                     else:
-                        tagged[u][v] = 0
+                        rows[u][v] = 0
                     best_rank -= 1
                     improved = True
-                    pivots, _, dependent = _tagged_reduction(p, n, tagged)
+                    pivots, _, dependent = _tagged_reduction(p, n, rows)
                     combinations = {}
                     break
     return best_rank, dict(coeffs)
@@ -553,22 +548,22 @@ def _min_rank_exhaustive(d, p, budget, floor=0):
 def linear_guessing_number(d, p, budget=DEFAULT_LINEAR_BUDGET, exhaustive=None):
     """n minus the minimum rank of I + A over support-respecting A.
 
-    The cheap upper bounds come first (acyclic set, component count and,
-    without bidirectional edges, row counting).  The candidate strategies
-    of ``_bounded_lower`` then run until one meets the smallest upper
-    bound.  With ``exhaustive=None`` the pattern search only runs when
-    the bounds fail to pinch the value and the pattern space fits the
-    budget; ``exhaustive=True`` forces the search (budget permitting) in
-    place of the candidates, ``exhaustive=False`` forbids it.  The search
-    stops once its rank reaches n minus the upper bound.  Inexact calls
-    return the bracketing interval with a witness for the lower end.
+    The cheap upper bounds come first (acyclic set and, without
+    bidirectional edges, row counting; n - mas is never above n minus the
+    number of strong components, since the maximal acyclic set of
+    ``mas_exact`` meets each one).  The candidate strategies of
+    ``_bounded_lower`` then run until one meets the smallest upper bound.
+    With ``exhaustive=None`` the pattern search only runs when the bounds
+    fail to pinch the value and the pattern space fits the budget;
+    ``exhaustive=True`` forces the search (budget permitting) in place of
+    the candidates, ``exhaustive=False`` forbids it.  The search stops
+    once its rank reaches n minus the upper bound.  Inexact calls return
+    the bracketing interval with a witness for the lower end.
     """
     _check_prime(p)
     n = d.n
-    scc = dg.strong_components(d)
     mas = dg.mas_exact(d)
     uppers = [(n - mas.size, "acyclic-set")]
-    uppers.append((n - len(scc.components), "component-count"))
     if n > 0 and not d.bidirectional_pairs():
         from math import floor
 
@@ -674,9 +669,13 @@ def matrix_to_text(m):
 
 
 def matrix_from_text(text):
+    """Parse 'rows cols p', then one line per row; '#' lines are comments."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    rows, cols, p = (int(t) for t in lines[0].split())
-    entries = [[int(t) for t in ln.split()] for ln in lines[1 : 1 + rows]]
+    try:
+        rows, cols, p = (int(t) for t in lines[0].split())
+        entries = [[int(t) for t in ln.split()] for ln in lines[1 : 1 + rows]]
+    except (IndexError, ValueError):  # no header line, or not three integers
+        raise BadParams("malformed matrix text") from None
     m = GfMatrix(entries, p)
     if m.rows != rows or m.cols != cols:
         raise BadParams("matrix text shape mismatch")

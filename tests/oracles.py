@@ -13,7 +13,7 @@ import math
 from guessnum import _search
 from guessnum.digraph import Digraph, MasResult, gf2_rank
 from guessnum.errors import BadParams
-from guessnum.gf_linear import GfMatrix, rank_gfp
+from guessnum.gf_linear import GfMatrix
 from guessnum.guessing_graph import _mask_to_set, decode, encode
 from guessnum.solvers import DEFAULT_CODE_SEARCH_GUARD, _LEXICODE_CAP, CodeSizeResult
 
@@ -106,6 +106,57 @@ def brute_rank_gf2(rows):
     return len(span).bit_length() - 1
 
 
+def rref(matrix):
+    """Reduced row echelon form over GF(p): (rows, pivot columns).
+
+    Gauss-Jordan elimination on lists, at every prime.  Row i has a 1 in
+    the i-th pivot column and 0 in the other ones.
+    """
+    p = matrix.p
+    work = [list(row) for row in matrix.entries]
+    pivot_cols = []
+    for c in range(matrix.cols):
+        r = len(pivot_cols)
+        if r == matrix.rows:
+            break
+        pivot = next((i for i in range(r, matrix.rows) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = pow(work[r][c], p - 2, p)
+        work[r] = [(e * inv) % p for e in work[r]]
+        for i in range(matrix.rows):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[r])]
+        pivot_cols.append(c)
+    return work, pivot_cols
+
+
+def rref_rank(matrix):
+    """Rank over GF(p): the number of pivot columns of :func:`rref`."""
+    return len(rref(matrix)[1])
+
+
+def rref_nullspace(matrix):
+    """Right nullspace basis over GF(p) read off :func:`rref`.
+
+    One coordinate tuple per free column, in ascending order: 1 there,
+    0 on the other free columns, and minus that column's entries on the
+    pivot columns.
+    """
+    p, cols = matrix.p, matrix.cols
+    work, pivot_cols = rref(matrix)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivot_cols):
+        vec = [0] * cols
+        vec[fc] = 1
+        for i, pc in enumerate(pivot_cols):
+            vec[pc] = (-work[i][fc]) % p
+        basis.append(tuple(vec))
+    return basis
+
+
 def brute_min_rank(d, p):
     """Minimum rank(I + A) over every A supported on the edges, by listing.
 
@@ -120,7 +171,7 @@ def brute_min_rank(d, p):
         for (u, v), c in zip(edges, values):
             a[u][v] = c
         eye_plus = [[int(i == j) + a[i][j] for j in range(n)] for i in range(n)]
-        rank = rank_gfp(GfMatrix(eye_plus, p))
+        rank = rref_rank(GfMatrix(eye_plus, p))
         if best is None or rank < best[0]:
             best = (rank, tuple(map(tuple, a)))
     return best
@@ -204,18 +255,10 @@ def unpruned_min_rank(d, p, budget, floor=0):
 def rerank_rank_of_support(d, p, coeffs):
     """rank(I + A) for the coefficients ``{(u, v): value}``, rebuilt from scratch."""
     n = d.n
-    if p == 2:
-        rows = [1 << u for u in range(n)]
-        for (u, v), val in coeffs.items():
-            if val & 1:
-                rows[u] |= 1 << v
-        return gf2_rank(rows)
-    entries = [[0] * n for _ in range(n)]
-    for i in range(n):
-        entries[i][i] = 1
+    entries = [[int(i == j) for j in range(n)] for i in range(n)]
     for (u, v), val in coeffs.items():
         entries[u][v] = val % p
-    return rank_gfp(GfMatrix(entries, p))
+    return rref_rank(GfMatrix(entries, p))
 
 
 def rerank_descend(d, p, coeffs):

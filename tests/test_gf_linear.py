@@ -8,7 +8,7 @@ from guessnum import cyclic
 from guessnum import digraph as dg
 from guessnum import gf_linear as gl
 from guessnum import solvers
-from guessnum.errors import NonPrimeField
+from guessnum.errors import BadParams, NonPrimeField
 
 from oracles import (
     all_digraphs,
@@ -17,6 +17,8 @@ from oracles import (
     induces_acyclic,
     random_digraph,
     rerank_descend,
+    rref_nullspace,
+    rref_rank,
     unpruned_min_rank,
     witness_fixed_matrix,
 )
@@ -80,6 +82,35 @@ class TestRank:
                     for coeffs in itertools.product(range(p), repeat=len(basis))
                 }
                 assert span == solutions
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_the_elimination_oracle(self, p):
+        # seeded matrices of 1-9 rows and columns, tall and wide, some of
+        # low rank by construction, with zeroed rows and columns
+        rng = random.Random(150 + p)
+        shapes = set()
+        for _ in range(300):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+            if rng.random() < 0.5:
+                k = rng.randint(1, min(rows, cols))
+                left = [[rng.randrange(p) for _ in range(k)] for _ in range(rows)]
+                right = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
+                entries = [
+                    [sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                    for row in left
+                ]
+            else:
+                entries = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+            for i in rng.sample(range(rows), rng.randint(0, rows // 2)):
+                entries[i] = [0] * cols
+            for j in rng.sample(range(cols), rng.randint(0, cols // 2)):
+                for row in entries:
+                    row[j] = 0
+            m = gl.GfMatrix(entries, p)
+            assert gl.rank_gfp(m) == rref_rank(m)
+            assert gl.nullspace_gfp(m) == rref_nullspace(m)
+            shapes.add((rows > cols) - (rows < cols))
+        assert shapes == {-1, 0, 1}
 
 
 class TestParityCheck:
@@ -184,6 +215,21 @@ class TestLinearGuessingNumber:
             total = gl.linear_guessing_number(u, 2, exhaustive=True).value
             assert total == min(g1 + d2.n, g2 + d1.n)
 
+    def test_acyclic_set_meets_every_strong_component(self):
+        # so n - mas never exceeds n minus the number of strong
+        # components, the upper bound the linear search leaves out
+        rng = random.Random(46)
+        digraphs = [d for n in range(5) for d in all_digraphs(n)]
+        digraphs += [
+            random_digraph(rng, rng.randint(5, 14), rng.uniform(0.1, 0.6))
+            for _ in range(100)
+        ]
+        for d in digraphs:
+            mas = dg.mas_exact(d)
+            components = dg.strong_components(d).components
+            assert mas.size >= len(components)
+            assert all(set(c) & set(mas.witness) for c in components)
+
     def test_row_count_uppers_hold_on_families(self):
         for fam_kind, params in [("three_t", dict(t=5)), ("even_half", dict(p=5))]:
             fam = cyclic.family_unidirectional(fam_kind, **params)
@@ -225,7 +271,7 @@ class TestStoppedSearches:
             entries = [[int(i == j) for j in range(d.n)] for i in range(d.n)]
             for (u, v), val in coeffs.items():
                 entries[u][v] = val
-            dense = gl.rank_gfp(gl.GfMatrix(entries, p))
+            dense = rref_rank(gl.GfMatrix(entries, p))
             assert gl._rank_of_support(d, p, coeffs) == dense
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -327,7 +373,7 @@ class TestAgainstOracles:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_all_ones_basis_matches_reference(self, p):
         for d, _ in self.digraphs(100 + p, p, float("inf")):
-            reference = gl.nullspace_gfp(full_support_matrix(d, p))
+            reference = rref_nullspace(full_support_matrix(d, p))
             assert gl.full_support_fixed_basis(d, p) == reference
             assert gl.full_support_fixed_dimension(d, p) == len(reference)
 
@@ -339,8 +385,24 @@ class TestAgainstOracles:
                 gl._matrix_from_coeffs(d, p, {e: rng.randrange(p) for e in d.edges()}),
             )
             for witness in witnesses:
-                reference = gl.nullspace_gfp(witness_fixed_matrix(d, p, witness))
+                reference = rref_nullspace(witness_fixed_matrix(d, p, witness))
                 assert gl.fixed_space_basis(d, p, witness) == reference
+        # a diagonal entry: row 0 of I + W is (2, -1), not (1, -1), so
+        # the 2-cycle fixes only zero and the triangle the all-ones word
+        d = dg.from_edge_list(5, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)])
+        witness = gl.GfMatrix(
+            [
+                [1, -1, 0, 0, 0],
+                [-1, 0, 0, 0, 0],
+                [0, 0, 0, -1, 0],
+                [0, 0, 0, 0, -1],
+                [0, 0, -1, 0, 0],
+            ],
+            p,
+        )
+        reference = rref_nullspace(witness_fixed_matrix(d, p, witness))
+        assert reference == [(0, 0, 1, 1, 1)]
+        assert gl.fixed_space_basis(d, p, witness) == reference
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_witness_off_the_edges_is_rejected(self, p):
@@ -472,6 +534,13 @@ class TestMatrixText:
         m = gl.GfMatrix([[0, 1, 2], [2, 0, 1]], 3)
         again = gl.matrix_from_text(gl.matrix_to_text(m))
         assert again == m
+
+    @pytest.mark.parametrize(
+        "text", ["", "# only a comment\n", "2 2 x\n", "2 2\n", "1 2 3\n0 y\n"]
+    )
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(BadParams):
+            gl.matrix_from_text(text)
 
     def test_kron(self):
         a = gl.GfMatrix([[1, 1], [0, 1]], 2)
