@@ -37,6 +37,14 @@ some of low rank by construction and with zeroed rows and columns: one
 line per matrix with its ``rank_gfp`` and a SHA-256 of its pickled
 ``nullspace_gfp`` basis.  No digraph job builds such shapes.
 
+Every digraph the benchmark hands to ``guessing_number`` is strongly
+connected, so the script also digests a fixed seeded set of non-strong
+digraphs, unidirectional and disjoint unions of two seeded random
+digraphs at s = 2 and 3: the result's alpha, value, components and
+exact flag, and the configurations its protocol fixes.  The protocol's
+tables are left out, so that a change in what each vertex reads shows
+only where it changes the fixed set.
+
 To check that a change leaves every answer as it was, run it on two
 checkouts and compare the output::
 
@@ -71,6 +79,9 @@ LINEAR_BUDGET = 1 << 16  # coefficient patterns an exhaustive search may list
 MATRIX_FIELDS = (2, 3, 5, 7)
 MATRIX_SEED = 13
 MATRIX_JOBS = 50  # per field
+UNIONS = ((2, 6), (3, 3))  # (alphabet, largest vertex count of each part)
+UNION_SEED = 17
+UNION_JOBS = 30  # per alphabet, alternately unidirectional and disjoint
 
 
 class Library:
@@ -166,6 +177,28 @@ def linear_summary(answer):
     return "linear=" + ",".join(bracket(res) for res, _ in answer[1:])
 
 
+def union_jobs(lib, seed, sizes, count):
+    """Seeded non-strong digraphs: ``count`` unions of two seeded random
+    digraphs per (alphabet, largest part), alternately unidirectional
+    and disjoint."""
+    parts = list(seeded_jobs(lib, seed, sizes, 2 * count))
+    for (s, index, left), (_, _, right) in zip(parts[::2], parts[1::2]):
+        kind = ("unidirectional", "disjoint")[index // 2 % 2]
+        yield s, index // 2, kind, getattr(lib.digraph, f"{kind}_union")(left, right)
+
+
+def union_answer(lib, d, s):
+    res = lib.solvers.guessing_number(d, s)
+    fixed = lib.solvers.fixed_configurations(d, s, res.protocol)
+    return res.alpha, res.value, res.components, res.exact, fixed
+
+
+def union_summary(answer):
+    alpha, _, components, exact, fixed = answer
+    return (f"alpha={alpha} exact={exact} components={len(components)} "
+            f"fixed={len(fixed)}")
+
+
 def seeded_matrices(lib, seed, fields, count):
     """Seeded random matrices: ``count`` per field, 1 to 9 rows and columns."""
     rng = random.Random(seed)
@@ -227,6 +260,10 @@ def main(argv=None):
     for p, index, m in seeded_matrices(lib, MATRIX_SEED, MATRIX_FIELDS, MATRIX_JOBS):
         basis = hashlib.sha256(pickle.dumps(gl.nullspace_gfp(m))).hexdigest()
         print(f"matrix p{p} {index:4d} {m.rows}x{m.cols} rank={gl.rank_gfp(m)} {basis}")
+    for s, index, kind, d in union_jobs(lib, UNION_SEED, UNIONS, UNION_JOBS):
+        answer = union_answer(lib, d, s)
+        label = f"{kind}-s{s}-n{d.n}-e{len(d.edges())}"
+        print(f"union_guess s{s} {index:4d} {label} {line(answer, union_summary)}")
 
 
 if __name__ == "__main__":

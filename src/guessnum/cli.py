@@ -56,12 +56,12 @@ def cmd_guess(args):
     d = _load_digraph(args.digraph)
     result = solvers.guessing_number(d, args.s, guard=args.guard)
     recs = _g_records(result)
-    if args.witness and result.protocol is not None:
+    if args.witness:
         fixed = solvers.fixed_configurations(d, args.s, result.protocol, guard=args.guard)
         with open(args.witness, "w", encoding="utf-8") as fh:
             fh.write("\n".join(str(c) for c in fixed) + "\n")
         recs.append(("witness_path", args.witness))
-    if args.protocol and result.protocol is not None:
+    if args.protocol:
         with open(args.protocol, "w", encoding="utf-8") as fh:
             fh.write(solvers.protocol_to_text(result.protocol))
         recs.append(("protocol_path", args.protocol))

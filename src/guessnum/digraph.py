@@ -261,7 +261,11 @@ def girth(d):
 
 
 def is_acyclic(d):
-    return girth(d) is None
+    try:
+        topological_order(d)
+    except NotAcyclic:
+        return False
+    return True
 
 
 def topological_order(d):

@@ -274,7 +274,7 @@ def solvable(instance, s, guard=DEFAULT_GUARD):
     is_solvable = result.alpha == s**n
     certificate = None
     binding = None
-    if is_solvable and result.protocol is not None:
+    if is_solvable:
         certificate = _certificate_from_protocol(instance, merged, result.protocol)
         verified = _simulate(instance, merged, result.protocol, s)
         if verified is False:

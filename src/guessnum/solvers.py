@@ -30,7 +30,6 @@ from .guessing_graph import (
 
 DEFAULT_CODE_SEARCH_GUARD = 1 << 7
 _LEXICODE_CAP = 1 << 10
-_WITNESS_CAP = 1 << 16
 
 
 # -- protocols ----------------------------------------------------------
@@ -40,9 +39,10 @@ _WITNESS_CAP = 1 << 16
 class Protocol:
     """One local lookup table per vertex.
 
-    ``inputs[v]`` lists v's in-neighbours in ascending order;
-    ``tables[v]`` has s^len(inputs[v]) entries indexed by the mixed-radix
-    code of the observed word (first listed neighbour least significant).
+    ``inputs[v]`` lists some of v's in-neighbours in ascending order (all
+    of them from :func:`protocol_from_independent_set`); ``tables[v]``
+    has s^len(inputs[v]) entries indexed by the mixed-radix code of the
+    observed word (first listed neighbour least significant).
     """
 
     n: int
@@ -142,11 +142,18 @@ def _fixed_mask(protocol, masks):
 
 def fixed_configurations(d, s, protocol, guard=DEFAULT_GUARD):
     """All configuration codes mapped to themselves by the protocol
-    (:func:`_fixed_mask`), in ascending order."""
+    (:func:`_fixed_mask`), in ascending order; BadParams unless each
+    vertex reads a sorted subset of its in-neighbours through a table of
+    s^len(inputs) symbols in [0, s)."""
     if protocol.n != d.n or protocol.s != s:
         raise BadParams("protocol shape does not match digraph/alphabet")
-    if protocol.inputs != _protocol_inputs(d):
-        raise BadParams("protocol inputs do not match the digraph")
+    if len(protocol.inputs) != d.n or len(protocol.tables) != d.n:
+        raise BadParams("protocol needs one input list and one table per vertex")
+    for v, (ins, table) in enumerate(zip(protocol.inputs, protocol.tables)):
+        if list(ins) != sorted(d.in_adj[v].intersection(ins)):
+            raise BadParams(f"vertex {v} must read a sorted subset of its in-neighbours")
+        if len(table) != s ** len(ins) or min(table) < 0 or max(table) >= s:
+            raise BadParams(f"table of vertex {v} needs s^{len(ins)} symbols in [0, {s})")
     total = s**d.n
     if total > guard:
         raise SizeGuard(
@@ -289,7 +296,7 @@ class GuessingNumberResult:
     alpha: int
     value: float
     integral: bool
-    protocol: Protocol | None
+    protocol: Protocol  # tables read only in-neighbours in the same component
     components: tuple  # ((vertices, alpha_i), ...)
     exact: bool
 
@@ -311,37 +318,31 @@ def guessing_number(d, s, guard=DEFAULT_GUARD):
     """log_s of the maximum number of simultaneously fixable configurations.
 
     Solved per strongly connected component (the quantity is additive
-    across them) and recombined; the witness protocol fixes the product
-    of the per-component witnesses.  Protocol construction is skipped
-    when the combined witness would exceed ``_WITNESS_CAP``.
+    across them) and recombined.  Each vertex keeps its table from its
+    component's witness protocol, whose fixed set is that component's
+    maximum independent set, so the protocol fixes exactly their product.
     """
     if s < 2:
         raise BadParams("alphabet size must be at least 2")
     scc = dg.strong_components(d)
     alpha = 1
-    per_component = []
+    components = []
     exact = True
+    inputs = [()] * d.n
+    tables = [()] * d.n
     for comp in scc.components:
         sub, vertices = dg.induced_subdigraph(d, comp)
         mis = max_independent_set(GuessingGraph(sub, s, guard))
         exact = exact and mis.exact
         alpha *= mis.alpha
-        per_component.append((vertices, mis))
+        components.append((vertices, mis.alpha))
+        part = protocol_from_independent_set(sub, s, mis.witness)
+        for i, v in enumerate(vertices):
+            inputs[v] = tuple(vertices[u] for u in part.inputs[i])
+            tables[v] = part.tables[i]
     value, integral = _log_value(alpha, s)
-    protocol = None
-    if alpha <= _WITNESS_CAP:
-        combined = []
-        for combo in itertools.product(
-            *[[decode(c, len(vs), s) for c in mis.witness] for vs, mis in per_component]
-        ):
-            symbols = [0] * d.n
-            for (vertices, _), word in zip(per_component, combo):
-                for v, sym in zip(vertices, word):
-                    symbols[v] = sym
-            combined.append(encode(tuple(symbols), s))
-        protocol = protocol_from_independent_set(d, s, sorted(combined))
-    components = tuple((vs, mis.alpha) for vs, mis in per_component)
-    return GuessingNumberResult(alpha, value, integral, protocol, components, exact)
+    protocol = Protocol(d.n, s, tuple(inputs), tuple(tables))
+    return GuessingNumberResult(alpha, value, integral, protocol, tuple(components), exact)
 
 
 # -- coloring and information defect -------------------------------------

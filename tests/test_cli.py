@@ -50,6 +50,20 @@ class TestCommands:
         assert text[0] == "n 3 s 2"
         assert text[1] == "0: 1,2 | 0110"
 
+    def test_guess_protocol_beyond_two_to_the_sixteen(self, files, capsys):
+        # 17 disjoint 2-cycles: alpha = 2^17
+        pairs = str(files["tmp"] / "pairs.dg")
+        dg.write_digraph(dg.Digraph(34, [(u, u ^ 1) for u in range(34)]), pairs)
+        proto = str(files["tmp"] / "pairs.txt")
+        code, out = run(capsys, "guess", pairs, "-s", "2", "--protocol", proto)
+        assert code == 0
+        assert f"protocol_path={proto}" in out
+        text = open(proto).read().splitlines()
+        assert text[:3] == ["n 34 s 2", "0: 1 | 01", "1: 0 | 01"]
+        # listing the 2^17 fixed codes needs all 2^34 configurations
+        code, _ = run(capsys, "guess", pairs, "-s", "2", "--witness", proto + ".w")
+        assert code == 3
+
     def test_linear_pipeline_matches_generated_digraph(self, files, capsys):
         p7 = str(files["tmp"] / "p7.dg")
         code, _ = run(capsys, "cyclic-gen", "--poly", "11101", "-n", "7", "-o", p7)

@@ -112,6 +112,11 @@ class TestStructure:
             rhs = rep.bidirectional_edge_count == 0 and rep.girth is not None
             assert lhs == rhs
 
+    def test_is_acyclic_agrees_with_girth(self):
+        for n in range(5):
+            for d in all_digraphs(n):
+                assert dg.is_acyclic(d) == (dg.girth(d) is None)
+
     def test_components_of_cycle(self):
         scc = dg.strong_components(dg.cycle(6))
         assert len(scc.components) == 1

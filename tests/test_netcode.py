@@ -134,6 +134,25 @@ class TestSolvability:
         assert not res.solvable
         assert "unreachable" in res.reason
 
+    def test_relays_beyond_two_to_the_sixteen_keep_their_certificate(self):
+        # 17 pairs, each relayed through its own intermediate: s^n = 2^17
+        pairs = range(17)
+        inst = netcode.NetworkInstance(
+            sources=tuple(f"s{i}" for i in pairs),
+            sinks=tuple(f"t{i}" for i in pairs),
+            intermediates=tuple(f"z{i}" for i in pairs),
+            edges=tuple(e for i in pairs for e in ((f"s{i}", f"z{i}"), (f"z{i}", f"t{i}"))),
+        )
+        res = netcode.solvable(inst, 2)
+        assert res.solvable
+        assert res.certificate is not None
+        assert res.binding_bound is None and res.reason is None
+        functions = {name: (inputs, table) for name, inputs, table in res.certificate.functions}
+        rng = random.Random(62)
+        for _ in range(4):
+            word = tuple(rng.randrange(2) for _ in pairs)
+            assert simulate_instance(inst, functions, 2, word) == word
+
     def test_paley_split_is_binary_solvable(self):
         from guessnum import cyclic
 

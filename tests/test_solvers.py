@@ -8,7 +8,7 @@ from guessnum import digraph as dg
 from guessnum import gf_linear
 from guessnum import guessing_graph as gg
 from guessnum import solvers
-from guessnum.errors import NotIndependent, SizeGuard
+from guessnum.errors import BadParams, NotIndependent, SizeGuard
 
 from oracles import (
     all_digraphs,
@@ -130,6 +130,33 @@ class TestGuessingNumber:
             via_components = solvers.guessing_number(d, 2)
             direct = solvers.max_independent_set(handle(d, 2))
             assert via_components.alpha == direct.alpha
+
+    def test_hub_table_reads_only_its_own_component(self):
+        # vertex 22 is fed by all 22 vertices of two disjoint 11-cycles
+        rings = dg.disjoint_union(dg.cycle(11), dg.cycle(11))
+        d = dg.Digraph(23, rings.edges() + [(v, 22) for v in range(22)])
+        res = solvers.guessing_number(d, 2)
+        assert res.alpha == 4
+        assert res.protocol.inputs[22] == ()
+        assert len(res.protocol.tables[22]) == 1
+
+    def test_component_protocols_match_the_whole_graph_search(self):
+        cases = [(d, s) for s in (2, 3) for n in range(4) for d in all_digraphs(n)]
+        rng = random.Random(31)
+        non_strong = 0
+        while non_strong < 300:
+            d = random_digraph(rng, rng.randint(4, 6))
+            if len(dg.strong_components(d).components) > 1:
+                cases.append((d, 2))
+                non_strong += 1
+        for d, s in cases:
+            res = solvers.guessing_number(d, s)
+            assert res.alpha == solvers.max_independent_set(handle(d, s)).alpha
+            assert len(solvers.fixed_configurations(d, s, res.protocol)) == res.alpha
+            component_of = dg.strong_components(d).component_of
+            for v, (ins, table) in enumerate(zip(res.protocol.inputs, res.protocol.tables)):
+                assert all(component_of[u] == component_of[v] for u in ins)
+                assert len(table) == s ** len(ins)
 
 
 class TestColoring:
@@ -595,6 +622,21 @@ class TestProtocols:
             )
             proto = solvers.Protocol(d.n, s, inputs, tables)
             assert solvers.fixed_configurations(d, s, proto) == brute_fixed(d, s, proto)
+
+    def test_malformed_protocols_rejected(self):
+        k3 = dg.clique(3)
+        inputs = ((1, 2), (0, 2), (0, 1))
+        xor = (0, 1, 1, 0)
+        cases = [
+            (k3, inputs, ((0, 1), xor, xor)),  # 2 entries for 4 words
+            (k3, inputs, ((0, 1, 1, 2), xor, xor)),  # symbol 2 at s = 2
+            (k3, ((2, 1), (0, 2), (0, 1)), (xor, xor, xor)),  # unsorted
+            (k3, ((1, 1), (0, 2), (0, 1)), (xor, xor, xor)),  # repeated
+            (dg.cycle(3), ((1,), (0,), (1,)), ((0, 1),) * 3),  # 1 -> 0 is no edge
+        ]
+        for d, ins, tables in cases:
+            with pytest.raises(BadParams):
+                solvers.fixed_configurations(d, 2, solvers.Protocol(3, 2, ins, tables))
 
     def test_guard(self):
         d = dg.path(3)
