@@ -98,7 +98,8 @@ class GuessingGraph:
     """Handle on the configuration graph of ``digraph`` over ``[s]``.
 
     It holds the facts the solvers read, each computed on first use: the
-    coordinate masks, a maximum acyclic set and the adjacency rows.
+    coordinate masks, a maximum acyclic set, the adjacency rows and the
+    all-ones strategy's fixed space (``seed``, filled in by the solvers).
     ``guard`` caps the configuration count of neighbour sets, the degree
     and materialization; the ``adjacent`` oracle works at any size.
     """
@@ -112,6 +113,7 @@ class GuessingGraph:
         self.n_configs = s**digraph.n
         self.guard = guard
         self.rows = None
+        self.seed = None
 
     @cached_property
     def masks(self):

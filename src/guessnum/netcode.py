@@ -225,21 +225,47 @@ def _certificate_from_protocol(instance, digraph, protocol):
 
 
 def _simulate(instance, digraph, protocol, s):
-    """Exhaustively check a certificate delivers every demand."""
+    """Exhaustively check a certificate delivers every demand.
+
+    A node's value depends only on the sources its tables reach back to,
+    so the nodes are grouped by the components of the reads relation
+    (each a subset of a strong component for a protocol from
+    :func:`solvers.guessing_number`) and each group is checked on the
+    s^(its pairs) words of its own sources.  ``None`` when some group
+    alone has more than 2^16 such words.
+    """
     n = instance.n_pairs
-    if s**n > _SIMULATE_GUARD:
-        return None
-    topo = dg.topological_order(_erase_pair_cycles(digraph, n))
+    group = list(range(digraph.n))  # union-find over the reads relation
+
+    def root(v):
+        while group[v] != v:
+            group[v] = group[group[v]]
+            v = group[v]
+        return v
+
+    for v, inputs in enumerate(protocol.inputs):
+        for u in inputs:
+            group[root(u)] = root(v)
+    groups = {}
+    for v in dg.topological_order(_erase_pair_cycles(digraph, n)):
+        groups.setdefault(root(v), []).append(v)
+    verified = True
     values = [0] * digraph.n
-    for source_word in itertools.product(range(s), repeat=n):
-        values[:n] = source_word
-        for v in topo:
-            if v >= n:
+    for members in groups.values():
+        pairs = [v for v in members if v < n]
+        relays = [v for v in members if v >= n]
+        if s ** len(pairs) > _SIMULATE_GUARD:
+            verified = None
+            continue
+        for source_word in itertools.product(range(s), repeat=len(pairs)):
+            for i, x in zip(pairs, source_word):
+                values[i] = x
+            for v in relays:
                 values[v] = protocol.tables[v][protocol.word_index(values, v)]
-        for i in range(n):
-            if protocol.tables[i][protocol.word_index(values, i)] != source_word[i]:
-                return False
-    return True
+            for i, x in zip(pairs, source_word):
+                if protocol.tables[i][protocol.word_index(values, i)] != x:
+                    return False
+    return verified
 
 
 def _erase_pair_cycles(digraph, n):
@@ -255,20 +281,26 @@ def solvable(instance, s, guard=DEFAULT_GUARD):
     Solvable means every sink can decode its own source's message; this
     holds exactly when the merged digraph fixes s^n configurations.  A
     positive answer carries per-node coding functions re-verified by
-    exhaustive simulation (when s^n fits 2^16); a negative one carries
-    the bound that caps the guessing number below n.  The defect check
-    (minimum public information equal to the intermediate count) is
-    reported alongside when computable.
+    exhaustive simulation, one group of nodes at a time (when no group
+    has more than 2^16 source words); a negative one carries the bound
+    that caps the guessing number below n.  The defect check (minimum
+    public information equal to the intermediate count) is reported
+    alongside when computable.  A strongly connected merged digraph is
+    solved on one configuration graph: its chromatic number starts from
+    the guessing number's maximum independent set.
     """
     merged, _ = to_guessing_digraph(instance)
     n = instance.n_pairs
     m = len(instance.intermediates)
-    result = solvers.guessing_number(merged, s, guard=guard)
+    result, parts = solvers._solve_components(merged, s, guard)
     if result.alpha > s**n:
         raise AssertionError("guessing number exceeded the pair count")
     reason = None
+    adj = {}
+    for u, v in instance.edges:
+        adj.setdefault(u, set()).add(v)
     for i in range(n):
-        if not _reaches(instance, i):
+        if not _reaches(adj, instance.sources[i], instance.sinks[i]):
             reason = f"sink {instance.sinks[i]} is unreachable from {instance.sources[i]}"
             break
     is_solvable = result.alpha == s**n
@@ -292,9 +324,16 @@ def solvable(instance, s, guard=DEFAULT_GUARD):
     defect_value = None
     defect_matches = None
     if s**merged.n <= min(guard, 1 << 14):
-        defect = solvers.information_defect(merged, s, guard=guard)
-        defect_value = defect.chi
-        defect_matches = defect.integral and round(defect.value) == m
+        if len(parts) == 1:
+            # information_defect's colouring, on the one strong
+            # component's handle: its search is unbudgeted, so exact
+            _, handle, mis = parts[0]
+            defect_value = solvers.chromatic_number(
+                handle, mis_witness=mis.witness, alpha_upper=mis.alpha
+            ).chi
+        else:
+            defect_value = solvers.information_defect(merged, s, guard=guard).chi
+        defect_matches = defect_value == s**m  # log_s chi = m
     return SolvabilityResult(
         solvable=is_solvable,
         n_pairs=n,
@@ -308,12 +347,8 @@ def solvable(instance, s, guard=DEFAULT_GUARD):
     )
 
 
-def _reaches(instance, i):
-    adj = {}
-    for u, v in instance.edges:
-        adj.setdefault(u, set()).add(v)
-    target = instance.sinks[i]
-    frontier = [instance.sources[i]]
+def _reaches(adj, source, target):
+    frontier = [source]
     seen = set(frontier)
     while frontier:
         u = frontier.pop()

@@ -252,17 +252,37 @@ def _linear_seed_codes(handle):
     Each vertex guesses the sum of its in-neighbours' symbols mod s, so
     at every s the fixed configurations are the kernel of a Z_s-linear
     map: a subgroup of Z_s^n, and, as a protocol's fixed set, an
-    independent set.  Read through the handle's coordinate masks.
+    independent set.  Read through the handle's coordinate masks as a
+    running residue mask per vertex: ``R[r]`` holds the codes whose
+    in-neighbour sum so far is r, each input u folds in as
+    ``R'[(r + a) % s] |= R[r] & E[u][a]``, and the vertex's guess is
+    right on the OR of ``R[a] & E[v][a]``; O(k s^2) mask operations for
+    in-degree k.
     """
-    d, s = handle.digraph, handle.s
-    inputs = _protocol_inputs(d)
-    tables = []
-    for ins in inputs:
-        sums = [0]  # digit sums mod s, first input least significant
-        for _ in ins:
-            sums = [(a + x) % s for a in range(s) for x in sums]
-        tables.append(tuple(sums))
-    return _fixed_mask(Protocol(d.n, s, inputs, tuple(tables)), handle.masks)
+    d, s, masks = handle.digraph, handle.s, handle.masks
+    every_bit = (1 << handle.n_configs) - 1
+    fixed = every_bit
+    for v in range(d.n):
+        residues = [every_bit] + [0] * (s - 1)
+        for u in d.in_adj[v]:
+            folded = [0] * s
+            for r, part in enumerate(residues):
+                if part:
+                    for a, coord in enumerate(masks[u]):
+                        folded[(r + a) % s] |= part & coord
+            residues = folded
+        guessed = 0
+        for part, own in zip(residues, masks[v]):
+            guessed |= part & own
+        fixed &= guessed
+    return fixed
+
+
+def _seed(handle):
+    """The handle's :func:`_linear_seed_codes`, computed on first use."""
+    if handle.seed is None:
+        handle.seed = _linear_seed_codes(handle)
+    return handle.seed
 
 
 def max_independent_set(handle, node_budget=None):
@@ -279,7 +299,7 @@ def max_independent_set(handle, node_budget=None):
     bound = _exterior_clique_cover(handle.masks, handle.s, handle.mas.witness)
     size, mask, exact = _search.max_independent_set(
         handle.rows, handle.n_configs, bound=bound,
-        seed_mask=_linear_seed_codes(handle), node_budget=node_budget,
+        seed_mask=_seed(handle), node_budget=node_budget,
     )
     witness = sorted(_mask_to_set(mask))
     for x in witness:
@@ -322,17 +342,32 @@ def guessing_number(d, s, guard=DEFAULT_GUARD):
     component's witness protocol, whose fixed set is that component's
     maximum independent set, so the protocol fixes exactly their product.
     """
+    return _solve_components(d, s, guard)[0]
+
+
+def _solve_components(d, s, guard):
+    """:func:`guessing_number` with each strong component's
+    ``(vertices, handle, MisResult)``.
+
+    A strongly connected digraph is solved on a handle of ``d`` itself.
+    """
     if s < 2:
         raise BadParams("alphabet size must be at least 2")
     scc = dg.strong_components(d)
     alpha = 1
     components = []
+    parts = []
     exact = True
     inputs = [()] * d.n
     tables = [()] * d.n
     for comp in scc.components:
-        sub, vertices = dg.induced_subdigraph(d, comp)
-        mis = max_independent_set(GuessingGraph(sub, s, guard))
+        if len(comp) == d.n:
+            sub, vertices = d, tuple(range(d.n))
+        else:
+            sub, vertices = dg.induced_subdigraph(d, comp)
+        handle = GuessingGraph(sub, s, guard)
+        mis = max_independent_set(handle)
+        parts.append((vertices, handle, mis))
         exact = exact and mis.exact
         alpha *= mis.alpha
         components.append((vertices, mis.alpha))
@@ -342,7 +377,8 @@ def guessing_number(d, s, guard=DEFAULT_GUARD):
             tables[v] = part.tables[i]
     value, integral = _log_value(alpha, s)
     protocol = Protocol(d.n, s, tuple(inputs), tuple(tables))
-    return GuessingNumberResult(alpha, value, integral, protocol, tuple(components), exact)
+    result = GuessingNumberResult(alpha, value, integral, protocol, tuple(components), exact)
+    return result, tuple(parts)
 
 
 # -- coloring and information defect -------------------------------------
@@ -429,7 +465,8 @@ def chromatic_number(handle, mis_witness=None, node_budget=None, alpha_upper=Non
     (:func:`_coset_coloring`) from the all-ones linear strategy's fixed
     space and from the supplied witness, as bitmasks, and greedy DSATUR
     on bitmask state, run only when no coset coloring meets the lower
-    bound.  :func:`_proper` is the only check: it keeps the proper
+    bound; the first proper coset coloring that meets it ends the list.
+    :func:`_proper` is the only check: it keeps the proper
     candidates, subgroups or not, and re-verifies the result.  On an
     acyclic digraph the seed is {0}, whose s^n singleton cosets meet the
     bound s^n.  The first candidate with the fewest colors
@@ -440,7 +477,7 @@ def chromatic_number(handle, mis_witness=None, node_budget=None, alpha_upper=Non
     lower = s**handle.mas.size
     if alpha_upper:
         lower = max(lower, -(-total // alpha_upper))
-    independent = [_linear_seed_codes(handle)]
+    independent = [_seed(handle)]
     if mis_witness:
         independent.append(sum(1 << x for x in mis_witness))
     candidates = []
@@ -448,7 +485,9 @@ def chromatic_number(handle, mis_witness=None, node_budget=None, alpha_upper=Non
         colors = _coset_coloring(handle, mask)
         if _proper(handle, colors):
             candidates.append(colors)
-    if all(max(c) + 1 > lower for c in candidates):
+            if max(colors) + 1 <= lower:
+                break
+    else:
         candidates.append(_search.greedy_dsatur(handle.rows, total))
     initial = min(candidates, key=lambda c: max(c) + 1)
     chi, coloring, exact = _search.exact_chromatic(

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from guessnum import digraph as dg
+from guessnum import guessing_graph as gg
 from guessnum import netcode, solvers
 from guessnum.errors import InvalidInstance, NotAcyclic, SelfDemandLoop
 
@@ -152,6 +154,44 @@ class TestSolvability:
         for _ in range(4):
             word = tuple(rng.randrange(2) for _ in pairs)
             assert simulate_instance(inst, functions, 2, word) == word
+        # each pair and its relay form their own component: 2 words each
+        merged, _ = netcode.to_guessing_digraph(inst)
+        protocol = solvers.guessing_number(merged, 2).protocol
+        assert netcode._simulate(inst, merged, protocol, 2) is True
+
+    def test_simulation_rejects_a_wrong_table_in_any_component(self):
+        inst = netcode.NetworkInstance(
+            sources=("s0", "s1"), sinks=("t0", "t1"), intermediates=("z0", "z1"),
+            edges=(("s0", "z0"), ("z0", "t0"), ("s1", "z1"), ("z1", "t1")),
+        )
+        merged, _ = netcode.to_guessing_digraph(inst)
+        protocol = solvers.guessing_number(merged, 2).protocol
+        assert netcode._simulate(inst, merged, protocol, 2) is True
+        for v in range(merged.n):
+            for w in range(len(protocol.tables[v])):
+                tables = [list(table) for table in protocol.tables]
+                tables[v][w] = 1 - tables[v][w]
+                broken = dataclasses.replace(
+                    protocol, tables=tuple(tuple(table) for table in tables)
+                )
+                assert netcode._simulate(inst, merged, broken, 2) is False
+
+    def test_one_component_beyond_two_to_the_sixteen_is_unverified(self):
+        # a 17-pair bottleneck (one component, 2^17 words) next to one
+        # relayed pair, whose relay and sink copy their input or emit 0
+        big = netcode.bottleneck(17, 17)
+        inst = netcode.NetworkInstance(
+            big.sources + ("sa",), big.sinks + ("ta",), big.intermediates + ("za",),
+            big.edges + (("sa", "za"), ("za", "ta")),
+        )
+        merged, _ = netcode.to_guessing_digraph(inst)
+        inputs = tuple(tuple(sorted(merged.in_adj[v])) for v in range(merged.n))
+        zero = tuple((0,) * 2 ** len(ins) for ins in inputs)
+        copy = list(zero)
+        copy[inst.n_pairs - 1] = copy[merged.n - 1] = (0, 1)
+        for tables, verdict in ((zero, False), (tuple(copy), None)):
+            protocol = solvers.Protocol(merged.n, 2, inputs, tables)
+            assert netcode._simulate(inst, merged, protocol, 2) is verdict
 
     def test_paley_split_is_binary_solvable(self):
         from guessnum import cyclic
@@ -202,3 +242,54 @@ class TestTextFormat:
             netcode.from_text("a b\npairs\n")
         with pytest.raises(InvalidInstance):
             netcode.from_text("pairs\na b c\n")
+
+
+def random_splits(rng, s, count):
+    """Seeded splits of random digraphs at their maximum acyclic sets,
+    strongly connected or not."""
+    n_max = 6 if s == 2 else 4
+    for k in range(count):
+        d = random_digraph(rng, rng.randint(1, n_max), p=0.3 if k % 2 else 0.6)
+        yield netcode.from_digraph(d, dg.mas_exact(d).witness)
+
+
+class TestOneConfigurationGraph:
+    def test_solvable_agrees_with_the_standalone_solvers(self):
+        rng = random.Random(71)
+        strong = weak = 0
+        for s in (2, 3):
+            for inst in random_splits(rng, s, 40):
+                merged, _ = netcode.to_guessing_digraph(inst)
+                if len(dg.strong_components(merged).components) == 1:
+                    strong += 1
+                else:
+                    weak += 1
+                res = netcode.solvable(inst, s)
+                assert res.alpha == solvers.guessing_number(merged, s).alpha
+                defect = solvers.information_defect(merged, s)
+                assert res.defect_value == defect.chi
+                assert res.defect_matches_intermediates == (
+                    defect.integral and round(defect.value) == len(inst.intermediates)
+                )
+        assert strong >= 10 and weak >= 10
+
+    def test_strong_instance_builds_each_fact_once(self, monkeypatch):
+        counts = {"rows": 0, "mas": 0, "seed": 0}
+
+        def counting(key, function):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gg, "_translated_rows", counting("rows", gg._translated_rows))
+        monkeypatch.setattr(dg, "mas_exact", counting("mas", dg.mas_exact))
+        monkeypatch.setattr(
+            solvers, "_linear_seed_codes", counting("seed", solvers._linear_seed_codes)
+        )
+        inst = netcode.butterfly()
+        merged, _ = netcode.to_guessing_digraph(inst)
+        assert len(dg.strong_components(merged).components) == 1
+        res = netcode.solvable(inst, 2)
+        assert res.solvable and res.defect_value == 2
+        assert counts == {"rows": 1, "mas": 1, "seed": 1}

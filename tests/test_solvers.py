@@ -541,6 +541,21 @@ class TestLinearSeedCodes:
                 assert len(basis) >= 2
                 assert solvers._linear_seed_codes(handle(d, s)) == mask_of(brute_span(basis, s))
 
+    def test_residue_masks_match_the_digit_sum_tables(self):
+        # the all-ones protocol written out as tables of digit sums mod s
+        for s in (2, 3, 4, 6):
+            masks = {n: gg.coordinate_masks(n, s) for n in range(4)}
+            for n in range(4):
+                for d in all_digraphs(n):
+                    inputs = tuple(tuple(sorted(d.in_adj[v])) for v in range(n))
+                    tables = tuple(
+                        tuple(sum(w) % s for w in itertools.product(range(s), repeat=len(ins)))
+                        for ins in inputs
+                    )
+                    protocol = solvers.Protocol(n, s, inputs, tables)
+                    expected = solvers._fixed_mask(protocol, masks[n])
+                    assert solvers._linear_seed_codes(handle(d, s)) == expected
+
     def test_seed_is_a_subgroup_of_the_fixed_dimension(self):
         # chromatic_number colours by the seed's cosets without testing it;
         # the digit-sum strategy is Z_s-linear at composite s too
