@@ -325,12 +325,8 @@ def solvable(instance, s, guard=DEFAULT_GUARD):
     defect_matches = None
     if s**merged.n <= min(guard, 1 << 14):
         if len(parts) == 1:
-            # information_defect's colouring, on the one strong
-            # component's handle: its search is unbudgeted, so exact
             _, handle, mis = parts[0]
-            defect_value = solvers.chromatic_number(
-                handle, mis_witness=mis.witness, alpha_upper=mis.alpha
-            ).chi
+            defect_value = solvers._chromatic_from(handle, mis).chi
         else:
             defect_value = solvers.information_defect(merged, s, guard=guard).chi
         defect_matches = defect_value == s**m  # log_s chi = m

@@ -347,10 +347,7 @@ def guessing_number(d, s, guard=DEFAULT_GUARD):
 
 def _solve_components(d, s, guard):
     """:func:`guessing_number` with each strong component's
-    ``(vertices, handle, MisResult)``.
-
-    A strongly connected digraph is solved on a handle of ``d`` itself.
-    """
+    ``(vertices, handle, MisResult)``."""
     if s < 2:
         raise BadParams("alphabet size must be at least 2")
     scc = dg.strong_components(d)
@@ -361,10 +358,7 @@ def _solve_components(d, s, guard):
     inputs = [()] * d.n
     tables = [()] * d.n
     for comp in scc.components:
-        if len(comp) == d.n:
-            sub, vertices = d, tuple(range(d.n))
-        else:
-            sub, vertices = dg.induced_subdigraph(d, comp)
+        sub, vertices = dg.induced_subdigraph(d, comp)
         handle = GuessingGraph(sub, s, guard)
         mis = max_independent_set(handle)
         parts.append((vertices, handle, mis))
@@ -511,6 +505,15 @@ class DefectResult:
         return self.value
 
 
+def _chromatic_from(handle, mis):
+    """:func:`chromatic_number` of ``handle``, seeded by its
+    :class:`MisResult`; alpha bounds the colour count only when exact."""
+    return chromatic_number(
+        handle, mis_witness=mis.witness,
+        alpha_upper=mis.alpha if mis.exact else None,
+    )
+
+
 def information_defect(d, s, guard=DEFAULT_GUARD):
     """log_s of the chromatic number, with the class partition.
 
@@ -518,11 +521,7 @@ def information_defect(d, s, guard=DEFAULT_GUARD):
     partition doubles as a public-message assignment.
     """
     handle = GuessingGraph(d, s, guard)
-    mis = max_independent_set(handle)
-    chrom = chromatic_number(
-        handle, mis_witness=mis.witness,
-        alpha_upper=mis.alpha if mis.exact else None,
-    )
+    chrom = _chromatic_from(handle, max_independent_set(handle))
     classes = {}
     for x, c in enumerate(chrom.coloring):
         classes.setdefault(c, []).append(x)
