@@ -285,14 +285,17 @@ def topological_order(d):
     return order
 
 
-def structure_report(d):
+def structure_report(d, scc=None):
+    """Degree, cycle and component facts of ``d``; ``scc``, when given, is
+    its :func:`strong_components`, which is then not recomputed."""
     n = d.n
     in_degs = [d.in_degree(v) for v in range(n)]
     out_degs = [d.out_degree(v) for v in range(n)]
     bidir = len(d.bidirectional_pairs())
     m = d.edge_count()
     tournament = n >= 1 and bidir == 0 and m == n * (n - 1) // 2
-    scc = strong_components(d)
+    if scc is None:
+        scc = strong_components(d)
     comp_count = len(scc.components)
     regular = (
         n > 0

@@ -75,6 +75,17 @@ class GfMatrix:
         self.p = p
 
     @classmethod
+    def _of_residues(cls, entries, p):
+        """A matrix of a prime ``p`` and a rectangular tuple of tuples of
+        residues in [0, p), taken as they are."""
+        m = cls.__new__(cls)
+        m.entries = entries
+        m.rows = len(entries)
+        m.cols = len(entries[0]) if entries else 0
+        m.p = p
+        return m
+
+    @classmethod
     def identity(cls, n, p):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], p)
 
@@ -351,7 +362,7 @@ def _matrix_from_coeffs(d, p, coeffs):
     entries = [[0] * n for _ in range(n)]
     for (u, v), val in coeffs.items():
         entries[u][v] = val % p
-    return GfMatrix(entries, p)
+    return GfMatrix._of_residues(tuple(map(tuple, entries)), p)
 
 
 def _tagged_reduction(p, n, rows):

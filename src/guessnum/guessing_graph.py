@@ -20,7 +20,7 @@ from . import digraph as dg
 from .errors import AlphabetMismatch, BadParams, SizeGuard
 
 DEFAULT_GUARD = 1 << 22
-_DEGREE_NODE_CAP = 1 << 22  # independent sets visited by degree_closed_form
+_DEGREE_NODE_CAP = 1 << 22  # walk nodes of degree_closed_form, over all components
 
 
 def encode(symbols, s):
@@ -216,53 +216,131 @@ def materialize(digraph, s, guard=DEFAULT_GUARD):
 def degree_closed_form(digraph, s):
     """Degree of the configuration graph without touching configurations.
 
-    Inclusion-exclusion over the digraph's independent sets (sets with no
-    edge between members in either direction): each set I contributes
-    (-1)^(|I|-1) * (s-1)^|I| * s^(n - |in_nbhd(I)| - |I|).
-
-    The sets are enumerated in ascending order, each one extended by the
-    vertices of an ``allowed`` bit mask: those above its last member and
-    outside every member's closed neighbourhood.  The terms depend only
-    on |I| and |in_nbhd(I)|, so they are read from a table built once
-    per call.
+    A configuration is 0 or a non-neighbour of 0 exactly when its support
+    T is closed: every member of T has an in-neighbour in T.  So there
+    are sum over closed T of (s-1)^|T| of them.  Closedness splits over
+    the weak components, so the degree is s^n minus the product of the
+    components' counts N_c.  Each N_c comes from the cheaper side: the
+    closed sets themselves (:func:`_closed_count`) when every vertex of
+    the component has at most one in-neighbour, inclusion-exclusion over
+    its independent sets (:func:`_independent_count`) otherwise.  Both
+    walks count their nodes against the one ``_DEGREE_NODE_CAP``.
     """
     n = digraph.n
     in_rows = digraph.in_rows()
     out_rows = digraph.out_rows()
-    blocked = [in_rows[v] | out_rows[v] for v in range(n)]
-    powers = [1]
-    for _ in range(n):
-        powers.append(powers[-1] * s)
-    weight = [()]  # weight[card][|in_nbhd|]
-    lead = -1  # -(1 - s)^card = (-1)^(card-1) * (s-1)^card
-    for card in range(1, n + 1):
-        lead *= 1 - s
-        weight.append([lead * powers[n - card - k] for k in range(n - card + 1)])
-    total = 0
+    linked = [in_rows[v] | out_rows[v] for v in range(n)]
+    non_neighbours = 1
     visited = 0
+    rest = (1 << n) - 1
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grow |= linked[low.bit_length() - 1]
+            frontier = grow & ~comp
+            comp |= frontier
+        rest ^= comp
+        if all(in_rows[v] & (in_rows[v] - 1) == 0 for v in _mask_to_set(comp)):
+            count, visited = _closed_count(comp, in_rows, out_rows, s, visited)
+        else:
+            count, visited = _independent_count(comp, in_rows, linked, s, visited)
+        non_neighbours *= count
+    return s**n - non_neighbours
 
-    def extend(allowed, size, in_union):
-        nonlocal total, visited
-        row = weight[size + 1]
+
+def _count_node(visited):
+    visited += 1
+    if visited > _DEGREE_NODE_CAP:
+        raise SizeGuard("degree walk exceeded its node cap",
+                        needed=visited, guard=_DEGREE_NODE_CAP)
+    return visited
+
+
+def _closed_count(comp, in_rows, out_rows, s, visited):
+    """N_c of a weak component whose vertices have at most one in-neighbour.
+
+    With a vertex of in-degree 0 the component is an out-tree, and only
+    the empty set is closed.  Otherwise it is one directed cycle C with
+    out-trees hanging from it.  Every nonempty closed set holds C and the
+    in-neighbour of each of its members.  The walk grows those sets from
+    C, one node per set: a vertex becomes allowed when its in-neighbour
+    joins, and leaves ``allowed`` for good once it has been tried, so no
+    set is reached twice.
+    """
+    vertices = _mask_to_set(comp)
+    if any(in_rows[v] == 0 for v in vertices):
+        return 1, visited
+    v = min(vertices)
+    for _ in vertices:  # step back onto the cycle
+        v = in_rows[v].bit_length() - 1
+    cycle = 0
+    while not cycle >> v & 1:
+        cycle |= 1 << v
+        v = in_rows[v].bit_length() - 1
+    hanging = 0
+    for v in _mask_to_set(cycle):
+        hanging |= out_rows[v]
+    hanging &= ~cycle
+    power = [1]
+    for _ in vertices:
+        power.append(power[-1] * (s - 1))
+    size = cycle.bit_count()
+    visited = _count_node(visited)
+    count = 1 + power[size]
+    stack = [(hanging, size + 1)] if hanging else []
+    while stack:
+        allowed, size = stack.pop()
+        term = power[size]
         while allowed:
             low = allowed & -allowed
             allowed ^= low
             v = low.bit_length() - 1
-            visited += 1
-            if visited > _DEGREE_NODE_CAP:
-                raise SizeGuard(
-                    "independent-set enumeration exceeded its cap",
-                    needed=visited,
-                    guard=_DEGREE_NODE_CAP,
-                )
-            union = in_union | in_rows[v]
-            total += row[union.bit_count()]
-            if allowed & ~blocked[v]:
-                extend(allowed & ~blocked[v], size + 1, union)
+            visited = _count_node(visited)
+            count += term
+            if allowed | out_rows[v]:
+                stack.append((allowed | out_rows[v], size + 1))
+    return count, visited
 
-    if n:
-        extend((1 << n) - 1, 0, 0)
-    return total
+
+def _independent_count(comp, in_rows, linked, s, visited):
+    """N_c of a weak component by inclusion-exclusion over its independent sets.
+
+    Each independent set I (no edge between members in either direction)
+    contributes (-1)^(|I|-1) * (s-1)^|I| * s^(n_c - |in_nbhd(I)| - |I|)
+    to the component's degree s^n_c - N_c.  Each set is built in
+    ascending order and extended by the vertices of an ``allowed`` bit
+    mask: those above its last member and outside every member's closed
+    neighbourhood.  The terms depend only on |I| and |in_nbhd(I)|, so
+    they are read from a table built once per component.
+    """
+    size = comp.bit_count()
+    powers = [1]
+    for _ in range(size):
+        powers.append(powers[-1] * s)
+    weight = [()]  # weight[card][|in_nbhd|]
+    lead = -1  # -(1 - s)^card = (-1)^(card-1) * (s-1)^card
+    for card in range(1, size + 1):
+        lead *= 1 - s
+        weight.append([lead * powers[size - card - k] for k in range(size - card + 1)])
+    degree = 0
+    stack = [(comp, 1, 0)]
+    while stack:
+        allowed, card, in_union = stack.pop()
+        row = weight[card]
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            v = low.bit_length() - 1
+            visited = _count_node(visited)
+            union = in_union | in_rows[v]
+            degree += row[union.bit_count()]
+            if allowed & ~linked[v]:
+                stack.append((allowed & ~linked[v], card + 1, union))
+    return powers[size] - degree, visited
 
 
 def write_edge_list(handle, path=None):

@@ -721,9 +721,9 @@ def bounds_report(d, s):
     if s < 2:
         raise BadParams("alphabet size must be at least 2")
     n = d.n
-    report = dg.structure_report(d)
-    mas = dg.mas_exact(d)
     scc = dg.strong_components(d)
+    report = dg.structure_report(d, scc)
+    mas = dg.mas_exact(d)
     bounds = []
     skipped = []
     log_s = lambda x: math.log(x, s)

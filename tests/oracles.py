@@ -37,6 +37,30 @@ def brute_degree(d, s):
     return len(brute_neighbors(d, s, 0))
 
 
+def inclusion_exclusion_degree(d, s):
+    """Degree by inclusion-exclusion over every independent set of the whole
+    digraph: each nonempty set I contributes
+    (-1)^(|I|-1) * (s-1)^|I| * s^(n - |in_nbhd(I)| - |I|)."""
+    total = 0
+    for k in range(1, d.n + 1):
+        for vs in itertools.combinations(range(d.n), k):
+            if any(d.has_edge(u, v) for u in vs for v in vs):
+                continue
+            in_nbhd = set().union(*(d.in_adj[v] for v in vs))
+            total += (-1) ** (k - 1) * (s - 1) ** k * s ** (d.n - len(in_nbhd) - k)
+    return total
+
+
+def weak_components(d):
+    """Vertex sets joined by edges in either direction, by repeated scans."""
+    comps = []
+    for v in range(d.n):
+        joined = [c for c in comps if any(d.has_edge(u, v) or d.has_edge(v, u) for u in c)]
+        merged = {v}.union(*joined)
+        comps = [c for c in comps if c not in joined] + [merged]
+    return comps
+
+
 def brute_proper(d, s, colors):
     """Per-pair scan: no two adjacent configurations share a colour."""
     return not any(

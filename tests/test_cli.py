@@ -103,6 +103,15 @@ class TestCommands:
         assert "g_upper.mas_cover" in keys
         assert "g_lower" in keys and "g_upper" in keys
 
+    def test_bounds_on_a_long_cycle_list_the_degree(self, capsys, tmp_path):
+        path = str(tmp_path / "c40.dg")
+        dg.write_digraph(dg.cycle(40), path)
+        code, out = run(capsys, "bounds", path, "-s", "2")
+        assert code == 0
+        keys = [line.split("=", 1)[0] for line in out.splitlines()]
+        assert "g_lower.graph_degree" in keys
+        assert not [k for k in keys if k.startswith("skipped.")]
+
     def test_mas(self, files, capsys):
         code, out = run(capsys, "mas", files["c4"])
         assert code == 0

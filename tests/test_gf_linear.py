@@ -542,6 +542,20 @@ class TestMatrixText:
         with pytest.raises(BadParams):
             gl.matrix_from_text(text)
 
+    def test_coefficient_matrix_matches_the_public_constructor(self):
+        rng = random.Random(532)
+        for p in (2, 3, 5, 7):
+            for n in range(5):
+                d = random_digraph(rng, n, 0.5)
+                coeffs = {e: rng.randrange(-2 * p, 2 * p) for e in d.edges()}
+                entries = [[coeffs.get((u, v), 0) for v in range(n)] for u in range(n)]
+                m = gl._matrix_from_coeffs(d, p, coeffs)
+                public = gl.GfMatrix(entries, p)
+                assert m == public
+                assert (m.rows, m.cols, m.p, m.entries) == (
+                    public.rows, public.cols, public.p, public.entries)
+                assert gl.rank_gfp(m) == gl.rank_gfp(public)
+
     def test_kron(self):
         a = gl.GfMatrix([[1, 1], [0, 1]], 2)
         b = gl.GfMatrix([[1, 0], [1, 1]], 2)

@@ -7,7 +7,15 @@ from guessnum import digraph as dg
 from guessnum import guessing_graph as gg
 from guessnum.errors import AlphabetMismatch, SizeGuard
 
-from oracles import brute_adjacent, brute_degree, brute_neighbors, random_digraph
+from oracles import (
+    all_digraphs,
+    brute_adjacent,
+    brute_degree,
+    brute_neighbors,
+    inclusion_exclusion_degree,
+    random_digraph,
+    weak_components,
+)
 
 
 def codes(*words, s=2):
@@ -191,26 +199,80 @@ class TestDegreeClosedForm:
             s = rng.choice([2, 3])
             assert gg.degree_closed_form(d, s) == brute_degree(d, s)
 
-    def test_cap_counts_every_nonempty_independent_set(self, monkeypatch):
-        # the enumeration visits each nonempty independent set once, so the
-        # guard trips exactly when the cap is one below their number
-        rng = random.Random(6)
-        for _ in range(20):
-            d = random_digraph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.5))
-            sets = sum(
-                1
-                for k in range(1, d.n + 1)
-                for vs in itertools.combinations(range(d.n), k)
-                if not any(d.has_edge(u, v) for u in vs for v in vs)
+    def test_matches_single_walk_inclusion_exclusion(self):
+        for n in range(5):
+            for d in all_digraphs(n):
+                for s in (2, 3):
+                    assert gg.degree_closed_form(d, s) == inclusion_exclusion_degree(d, s)
+
+    def test_union_multiplies_non_neighbours(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            d1 = random_digraph(rng, rng.randint(0, 6), rng.uniform(0.1, 0.6))
+            d2 = random_digraph(rng, rng.randint(0, 6), rng.uniform(0.1, 0.6))
+            s = rng.choice([2, 3, 4])
+            union = dg.disjoint_union(d1, d2)
+            assert s**union.n - gg.degree_closed_form(union, s) == (
+                (s**d1.n - gg.degree_closed_form(d1, s))
+                * (s**d2.n - gg.degree_closed_form(d2, s))
             )
-            monkeypatch.setattr(gg, "_DEGREE_NODE_CAP", sets)
+
+    def test_cycle_closed_form(self):
+        # the only closed sets of a directed cycle are the empty set and the cycle
+        for s in (2, 3):
+            for m in range(2, 81):
+                assert gg.degree_closed_form(dg.cycle(m), s) == s**m - 1 - (s - 1) ** m
+
+    def test_cap_counts_one_node_per_walked_set(self, monkeypatch):
+        # each weak component is walked once: one node per nonempty closed
+        # set when every in-degree is at most 1, one per nonempty independent
+        # set otherwise, so the guard trips exactly when the cap is one below
+        # their total
+        rng = random.Random(6)
+        cases = []
+        for _ in range(12):
+            n = rng.randint(3, 8)
+            cases.append(dg.Digraph(n, [  # every in-degree at least 2
+                (u, v) for v in range(n)
+                for u in rng.sample([u for u in range(n) if u != v], rng.randint(2, n - 1))
+            ]))
+            n = rng.randint(2, 9)
+            cases.append(dg.Digraph(n, [  # one in-neighbour each: cycles and out-trees
+                (rng.choice([u for u in range(n) if u != v]), v) for v in range(n)
+            ]))
+            n = rng.randint(2, 8)
+            cases.append(dg.Digraph(n, [(rng.randrange(v), v) for v in range(1, n)]))
+            cases.append(dg.Digraph(n, [(v, rng.randrange(v)) for v in range(1, n)]))
+            cases.append(dg.cycle(rng.randint(2, 9)))
+            cases.append(random_digraph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.5)))
+        cases += [dg.disjoint_union(a, b) for a, b in zip(cases, cases[1:])]
+        walked = 0
+        for d in cases:
+            nodes = sum(walked_sets(d, comp) for comp in weak_components(d))
+            monkeypatch.setattr(gg, "_DEGREE_NODE_CAP", nodes)
             expected = gg.degree_closed_form(d, 3)
-            monkeypatch.setattr(gg, "_DEGREE_NODE_CAP", sets - 1)
+            assert expected == inclusion_exclusion_degree(d, 3)
+            if not nodes:
+                continue
+            walked += 1
+            monkeypatch.setattr(gg, "_DEGREE_NODE_CAP", nodes - 1)
             with pytest.raises(SizeGuard) as exc:
                 gg.degree_closed_form(d, 3)
-            assert (exc.value.needed, exc.value.guard) == (sets, sets - 1)
-            if d.n <= 5:
-                assert expected == brute_degree(d, 3)
+            assert (exc.value.needed, exc.value.guard) == (nodes, nodes - 1)
+        assert walked >= 100
+
+
+def walked_sets(d, comp):
+    """Nonempty sets a weak component's walk visits, counted by subset scan."""
+    closed = all(d.in_degree(v) <= 1 for v in comp)
+    count = 0
+    for k in range(1, len(comp) + 1):
+        for vs in itertools.combinations(sorted(comp), k):
+            if closed:
+                count += all(d.in_adj[v] & set(vs) for v in vs)
+            else:
+                count += not any(d.has_edge(u, v) for u in vs for v in vs)
+    return count
 
 
 class TestMaterialize:

@@ -850,6 +850,29 @@ class TestBoundsReport:
         skipped = dict(rep.skipped)
         assert "code_girth" in skipped
 
+    def test_strong_components_run_once(self, monkeypatch):
+        rng = random.Random(31)
+        calls = []
+        tarjan = dg.strong_components
+        monkeypatch.setattr(dg, "strong_components", lambda d: calls.append(d) or tarjan(d))
+        for _ in range(20):
+            d = random_digraph(rng, rng.randint(0, 6), p=rng.uniform(0.1, 0.6))
+            calls.clear()
+            rep = solvers.bounds_report(d, 2)
+            assert calls == [d]
+            scc = tarjan(d)
+            assert rep.components == scc.components
+            assert dg.structure_report(d, scc) == dg.structure_report(d)
+
+    def test_long_cycle_lists_the_degree_bounds(self, monkeypatch):
+        # the 40-cycle's only nonempty closed set is itself: one walk node
+        monkeypatch.setattr(gg, "_DEGREE_NODE_CAP", 1)
+        rep = solvers.bounds_report(dg.cycle(40), 2)
+        assert rep.skipped == ()
+        bounds = {b.name: b.value for b in rep.bounds}
+        assert bounds["graph_degree"] == pytest.approx(40 - math.log2(2**40 - 1))
+        assert "transitive_connectivity" in bounds
+
     def test_empty_digraph_and_sparse_skip_reasons(self):
         for d, s, reason in ((dg.Digraph(0), 2, "digraph is empty"),
                              (dg.Digraph(0), 3, "digraph is empty"),
