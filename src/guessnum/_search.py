@@ -12,7 +12,8 @@ import sys
 sys.setrecursionlimit(100_000)
 
 
-def max_independent_set(rows, n, bound, seed_mask=0, node_budget=None):
+def max_independent_set(rows, n, bound, seed_mask=0, node_budget=None,
+                        transitive=False):
     """Exact maximum independent set on a bitmask graph.
 
     ``bound``: the caller's function from a candidate mask to an upper
@@ -22,6 +23,13 @@ def max_independent_set(rows, n, bound, seed_mask=0, node_budget=None):
     initial bound; the returned witness is the lexicographically
     smallest optimum (as a sorted vertex tuple).
 
+    ``transitive`` states that the graph is vertex-transitive, as a
+    Cayley graph is.  Then moving any optimum so that one of its
+    members lands on vertex 0 gives an optimum that contains 0, so the
+    lexicographically smallest optimum contains 0: once the subtree
+    that includes vertex 0 is done, the root's exclude branch is
+    skipped.
+
     Returns (size, witness_mask, exact).
     """
     if n == 0:
@@ -30,6 +38,9 @@ def max_independent_set(rows, n, bound, seed_mask=0, node_budget=None):
     best_mask = seed_mask
     nodes = 0
     exhausted = False
+    every = (1 << n) - 1
+    # the node whose candidates equal ``root`` skips its exclude branch
+    root = every if transitive else -1
 
     def dfs(size, mask, candidates):
         nonlocal best_size, best_mask, nodes, exhausted
@@ -46,11 +57,11 @@ def max_independent_set(rows, n, bound, seed_mask=0, node_budget=None):
         low = candidates & -candidates
         v = low.bit_length() - 1
         dfs(size + 1, mask | low, candidates & ~rows[v] & ~low)
-        if exhausted:
+        if exhausted or candidates == root:
             return
         dfs(size, mask, candidates ^ low)
 
-    dfs(0, 0, (1 << n) - 1)
+    dfs(0, 0, every)
     if best_mask == seed_mask and seed_mask:
         best_size = seed_mask.bit_count()
     return best_size, best_mask, not exhausted

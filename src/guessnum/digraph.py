@@ -16,6 +16,7 @@ them):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import _search
 from .errors import BadParams, LoopEdge, NotAcyclic, VertexOutOfRange
@@ -65,10 +66,10 @@ class Digraph:
 
     def out_rows(self):
         """Out-adjacency as one bitmask int per vertex."""
-        return [sum(1 << v for v in s) for s in self.out_adj]
+        return _bit_rows(self.out_adj)
 
     def in_rows(self):
-        return [sum(1 << v for v in s) for s in self.in_adj]
+        return _bit_rows(self.in_adj)
 
     def bidirectional_pairs(self):
         """Unordered pairs joined by edges in both directions."""
@@ -91,6 +92,18 @@ class Digraph:
 
     def __repr__(self):
         return f"Digraph(n={self.n}, edges={self.edge_count()})"
+
+
+def _bit_rows(sets):
+    # a plain loop: a few times faster than sum() over a generator on the
+    # small sets of most digraphs
+    rows = []
+    for members in sets:
+        row = 0
+        for v in members:
+            row |= 1 << v
+        rows.append(row)
+    return rows
 
 
 def from_edge_list(n, edges):
@@ -173,14 +186,53 @@ class SccResult:
     component_of: tuple  # vertex id -> component index
 
 
+def rotation_invariant(out_rows):
+    """True when v -> v + 1 mod n maps the digraph onto itself.
+
+    ``out_rows`` holds each vertex's out-neighbours as a bit row.  The
+    rotation maps the edge u -> w onto u + 1 -> w + 1, so the digraph is
+    invariant exactly when every row is the one before it rotated up by
+    one bit (n rotations are the identity, so the last row needs no
+    check against the first).  The scan stops at the first mismatch,
+    which on most digraphs that are not circulants is vertex 1.
+    """
+    n = len(out_rows)
+    every = (1 << n) - 1
+    for v in range(1, n):
+        row = out_rows[v - 1]
+        if out_rows[v] != (row << 1) & every | row >> (n - 1):
+            return False
+    return True
+
+
 def strong_components(d):
     """Strongly connected components plus the (acyclic) condensation.
 
     Components come out in reverse topological order of the condensation:
     every condensation edge points from a higher component index to a
     lower one.
+
+    On a :func:`rotation_invariant` digraph (a circulant) the result is
+    read off vertex 0.  Its edges are v -> v + j for the shifts j of
+    vertex 0, so the vertices reachable from 0 are the subgroup of Z_n
+    those shifts generate, the multiples of g = gcd(n, shifts), and the
+    other weak components are its rotations, the residue classes mod g.
+    Every vertex has in-degree equal to out-degree, so each weak
+    component is strong and the condensation has no edge.  Tarjan's
+    search meets the classes in the order of their lowest vertices,
+    0..g-1, which is the order given here.
     """
     n = d.n
+    # vertices 0 and 1 of a circulant share one in- and out-degree: a
+    # cheap test that spares most other digraphs their bit rows
+    alike = n < 2 or len(d.out_adj[0]) == len(d.out_adj[1]) == len(d.in_adj[0])
+    if alike and rotation_invariant(d.out_rows()):
+        g = gcd(n, *d.out_adj[0]) if n else 0
+        return SccResult(
+            tuple(tuple(range(i, n, g)) for i in range(g)),
+            Digraph(g),
+            tuple(v % g for v in range(n)),
+        )
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -237,11 +289,19 @@ def strong_components(d):
 
 
 def girth(d):
-    """Length of a shortest directed cycle, or None if acyclic."""
+    """Length of a shortest directed cycle, or None if acyclic.
+
+    A breadth-first search from each vertex v finds the shortest cycle
+    through v.  On a :func:`rotation_invariant` digraph every vertex is
+    a rotation of vertex 0, so its search alone suffices.
+    """
     if d.bidirectional_pairs():
         return 2
     best = None
-    for v in range(d.n):
+    starts = range(d.n)
+    if rotation_invariant(d.out_rows()):
+        starts = starts[:1]
+    for v in starts:
         dist = {v: 0}
         frontier = [v]
         while frontier:
@@ -366,12 +426,15 @@ def mas_exact(d, budget=DEFAULT_MAS_BUDGET):
     within budget the result is exact and the witness is the
     lexicographically smallest optimum; once the budget is exhausted the
     best set found so far is returned with ``exact=False`` (still a
-    valid acyclic witness).
+    valid acyclic witness).  On a :func:`rotation_invariant` digraph
+    the search skips the sets without vertex 0.
     """
-    return _mas_search(d.out_rows(), (1 << d.n) - 1, budget)
+    out_rows = d.out_rows()
+    transitive = rotation_invariant(out_rows)
+    return _mas_search(out_rows, (1 << d.n) - 1, budget, transitive)
 
 
-def _mas_search(out_rows, mask, budget):
+def _mas_search(out_rows, mask, budget, transitive=False):
     """Largest acyclic set among the vertices in the bit mask ``mask``.
 
     ``out_rows`` holds each vertex's out-neighbours as a bit row.  Branch
@@ -402,6 +465,13 @@ def _mas_search(out_rows, mask, budget):
     lexicographically smallest optimum.  ``budget`` caps the nodes, one
     per inclusion; once it runs out the greedy set is returned if it is
     larger.
+
+    ``transitive`` states that ``mask`` holds every vertex and that the
+    automorphisms of the digraph move vertex 0 onto each of them.  Then
+    moving any optimum so that one of its members lands on 0 gives an
+    optimum that contains 0, so the lexicographically smallest optimum
+    contains 0: once the subtree that includes vertex 0 is done, the
+    root's other branches are skipped.
     """
     n = len(out_rows)
     in_rows = [0] * n
@@ -451,7 +521,7 @@ def _mas_search(out_rows, mask, budget):
                 best = tuple(members)
             dfs(candidates & ~(ahead & behind), chosen | low, grown, count + 1)
             members.pop()
-            if exhausted:
+            if exhausted or transitive and not count:
                 return
 
     dfs(mask, 0, [0] * n, 0)

@@ -485,7 +485,7 @@ def _bounded_lower(d, p, upper=None):
     return dim, _matrix_from_coeffs(d, p, coeffs), tag
 
 
-def _min_rank_exhaustive(d, p, budget, floor=0):
+def _min_rank_exhaustive(d, p, budget, floor=0, ceiling=None):
     """Minimum rank(I + A) over every support-respecting A.
 
     Depth-first over vertices in ascending order; each vertex's row is
@@ -493,7 +493,10 @@ def _min_rank_exhaustive(d, p, budget, floor=0):
     first, so the returned witness is the lexicographically first
     optimal coefficient pattern.  ``floor`` is a proven lower bound on
     the minimum rank; the search stops once it is reached, since no
-    later pattern can do strictly better.
+    later pattern can do strictly better.  ``ceiling`` is the rank of a
+    known pattern: the search starts as if it had found one of that
+    rank, so it prunes from the start, yet the first optimal pattern,
+    whose rank is at most ``ceiling``, is still found.
 
     A partial pattern is pruned when no completion can beat the best
     rank so far.  Once rows 0..v-1 are chosen, every one of them is zero
@@ -513,7 +516,7 @@ def _min_rank_exhaustive(d, p, budget, floor=0):
     out_rows = d.out_rows()
     if p ** d.edge_count() > budget:
         raise BadParams("pattern space exceeds budget")
-    best = [n + 1, None]
+    best = [(n if ceiling is None else ceiling) + 1, None]
     pivots = []
 
     def push(v, combo):
@@ -567,8 +570,10 @@ def linear_guessing_number(d, p, budget=DEFAULT_LINEAR_BUDGET, exhaustive=None):
     With ``exhaustive=None`` the pattern search only runs when the bounds
     fail to pinch the value and the pattern space fits the budget;
     ``exhaustive=True`` forces the search (budget permitting) in place of
-    the candidates, ``exhaustive=False`` forbids it.  The search stops
-    once its rank reaches n minus the upper bound.  Inexact calls return
+    the candidates, ``exhaustive=False`` forbids it.  After the
+    candidates, the search looks only for ranks up to theirs, n minus
+    the lower bound, and it stops once its rank reaches n minus the
+    upper bound.  Inexact calls return
     the bracketing interval with a witness for the lower end.
     """
     _check_prime(p)
@@ -582,6 +587,7 @@ def linear_guessing_number(d, p, budget=DEFAULT_LINEAR_BUDGET, exhaustive=None):
             uppers.append((floor(value + 1e-9), tag))
     upper, upper_tag = min(uppers, key=lambda t: t[0])
     fits = p ** d.edge_count() <= budget
+    ceiling = None
     if exhaustive is not True or not fits:
         lower, witness, lower_tag = _bounded_lower(d, p, upper)
         exact = lower >= upper
@@ -591,7 +597,9 @@ def linear_guessing_number(d, p, budget=DEFAULT_LINEAR_BUDGET, exhaustive=None):
             return LinearGuessingResult(
                 lower, upper, witness, exact, (lower_tag, upper_tag)
             )
-    min_rank, witness = _min_rank_exhaustive(d, p, budget, floor=n - upper)
+        ceiling = n - lower
+    min_rank, witness = _min_rank_exhaustive(
+        d, p, budget, floor=n - upper, ceiling=ceiling)
     value = n - min_rank
     return LinearGuessingResult(value, value, witness, True, ("exhaustive", "exhaustive"))
 

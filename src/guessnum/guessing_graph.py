@@ -224,11 +224,15 @@ def degree_closed_form(digraph, s):
     closed sets themselves (:func:`_closed_count`) when every vertex of
     the component has at most one in-neighbour, inclusion-exclusion over
     its independent sets (:func:`_independent_count`) otherwise.  Both
-    walks count their nodes against the one ``_DEGREE_NODE_CAP``.
+    walks count their nodes against the one ``_DEGREE_NODE_CAP``.  On a
+    :func:`digraph.rotation_invariant` digraph the rotations act
+    transitively on each weak component, so inclusion-exclusion walks
+    only the sets that contain the component's lowest vertex.
     """
     n = digraph.n
     in_rows = digraph.in_rows()
     out_rows = digraph.out_rows()
+    transitive = dg.rotation_invariant(out_rows)
     linked = [in_rows[v] | out_rows[v] for v in range(n)]
     non_neighbours = 1
     visited = 0
@@ -247,7 +251,8 @@ def degree_closed_form(digraph, s):
         if all(in_rows[v] & (in_rows[v] - 1) == 0 for v in _mask_to_set(comp)):
             count, visited = _closed_count(comp, in_rows, out_rows, s, visited)
         else:
-            count, visited = _independent_count(comp, in_rows, linked, s, visited)
+            count, visited = _independent_count(
+                comp, in_rows, linked, s, visited, transitive)
         non_neighbours *= count
     return s**n - non_neighbours
 
@@ -306,7 +311,7 @@ def _closed_count(comp, in_rows, out_rows, s, visited):
     return count, visited
 
 
-def _independent_count(comp, in_rows, linked, s, visited):
+def _independent_count(comp, in_rows, linked, s, visited, transitive=False):
     """N_c of a weak component by inclusion-exclusion over its independent sets.
 
     Each independent set I (no edge between members in either direction)
@@ -315,31 +320,45 @@ def _independent_count(comp, in_rows, linked, s, visited):
     ascending order and extended by the vertices of an ``allowed`` bit
     mask: those above its last member and outside every member's closed
     neighbourhood.  The terms depend only on |I| and |in_nbhd(I)|, so
-    they are read from a table built once per component.
+    the walk tallies the sets per (|I|, |in_nbhd(I)|) class.
+
+    ``transitive`` states that automorphisms move the component's
+    lowest vertex onto each of its n_c vertices.  Then every vertex
+    lies in equally many sets of a class, so the c-sets of a class
+    number n_c / c times those that contain the lowest vertex, and only
+    those are walked.
     """
     size = comp.bit_count()
-    powers = [1]
-    for _ in range(size):
-        powers.append(powers[-1] * s)
-    weight = [()]  # weight[card][|in_nbhd|]
-    lead = -1  # -(1 - s)^card = (-1)^(card-1) * (s-1)^card
-    for card in range(1, size + 1):
-        lead *= 1 - s
-        weight.append([lead * powers[size - card - k] for k in range(size - card + 1)])
-    degree = 0
+    # tally[card][|in_nbhd|]; an independent set and its in-neighbourhood are disjoint
+    tally = [[0] * (size - card + 1) for card in range(size + 1)]
     stack = [(comp, 1, 0)]
     while stack:
         allowed, card, in_union = stack.pop()
-        row = weight[card]
+        row = tally[card]
         while allowed:
             low = allowed & -allowed
             allowed ^= low
             v = low.bit_length() - 1
             visited = _count_node(visited)
             union = in_union | in_rows[v]
-            degree += row[union.bit_count()]
+            row[union.bit_count()] += 1
             if allowed & ~linked[v]:
                 stack.append((allowed & ~linked[v], card + 1, union))
+            if transitive and card == 1:
+                break
+    powers = [1]
+    for _ in range(size):
+        powers.append(powers[-1] * s)
+    degree = 0
+    lead = -1  # -(1 - s)^card = (-1)^(card-1) * (s-1)^card
+    for card in range(1, size + 1):
+        lead *= 1 - s
+        for k, sets in enumerate(tally[card]):
+            if transitive:
+                sets, rest = divmod(sets * size, card)
+                if rest:
+                    raise AssertionError("independent sets do not split into orbits")
+            degree += sets * lead * powers[size - card - k]
     return powers[size] - degree, visited
 
 

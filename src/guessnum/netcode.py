@@ -32,6 +32,7 @@ from . import solvers
 from .errors import (
     BadParams,
     InvalidInstance,
+    LoopEdge,
     NotAcyclic,
     SelfDemandLoop,
 )
@@ -55,6 +56,9 @@ class NetworkInstance:
         return tuple(self.sources) + tuple(self.sinks) + tuple(self.intermediates)
 
     def validate(self):
+        """Raise InvalidInstance unless the instance is a circuit: unique
+        names, paired sources and sinks, known edge ends, no edge into a
+        source or out of a sink, and an acyclic underlying digraph."""
         names = self.nodes()
         if len(set(names)) != len(names):
             raise InvalidInstance("duplicate node names")
@@ -75,12 +79,28 @@ class NetworkInstance:
             if out_deg[tname]:
                 raise InvalidInstance(f"sink {tname} has outgoing edges")
         index = {name: i for i, name in enumerate(names)}
-        plain = dg.Digraph(
-            len(names), [(index[u], index[v]) for u, v in set(self.edges)]
-        )
-        if not dg.is_acyclic(plain):
+        rows = [0] * len(names)
+        indeg = [0] * len(names)
+        for u, v in set(self.edges):
+            if u == v:
+                raise LoopEdge(f"loop at vertex {index[u]} rejected")
+            rows[index[u]] |= 1 << index[v]
+            indeg[index[v]] += 1
+        # Kahn's algorithm: drop vertices whose in-edges are all dropped
+        ready = [v for v, k in enumerate(indeg) if not k]
+        dropped = 0
+        while ready:
+            row = rows[ready.pop()]
+            dropped += 1
+            while row:
+                low = row & -row
+                w = low.bit_length() - 1
+                indeg[w] -= 1
+                if not indeg[w]:
+                    ready.append(w)
+                row ^= low
+        if dropped < len(names):
             raise InvalidInstance("underlying digraph has a directed cycle")
-        return plain, index
 
 
 def to_guessing_digraph(instance):

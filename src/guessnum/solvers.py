@@ -291,15 +291,17 @@ def max_independent_set(handle, node_budget=None):
     Materializes the graph (guarded) and runs branch and bound, bounded
     by the classes of the clique cover from a maximum acyclic set that a
     branch's candidates meet, and seeded by the all-ones linear
-    strategy's fixed space (:func:`_linear_seed_codes`).  The witness is
-    the lexicographically smallest optimum, re-verified; ``exact`` is
-    False when ``node_budget`` ran out.
+    strategy's fixed space (:func:`_linear_seed_codes`).  The graph is a
+    Cayley graph on Z_s^n, so the search skips the sets without
+    configuration 0.  The witness is the lexicographically smallest
+    optimum, re-verified; ``exact`` is False when ``node_budget`` ran
+    out.
     """
     handle.materialize()
     bound = _exterior_clique_cover(handle.masks, handle.s, handle.mas.witness)
     size, mask, exact = _search.max_independent_set(
         handle.rows, handle.n_configs, bound=bound,
-        seed_mask=_seed(handle), node_budget=node_budget,
+        seed_mask=_seed(handle), node_budget=node_budget, transitive=True,
     )
     witness = sorted(_mask_to_set(mask))
     for x in witness:
@@ -592,7 +594,8 @@ def a_s_exact(n, d, s):
     bounded by the Singleton cover (codes that agree outside
     coordinates 0..d-2 are pairwise within distance d - 1).  A
     translation moves any optimum onto one that contains 0, so the
-    lexicographically smallest optimum, the witness, contains 0.
+    lexicographically smallest optimum, the witness, contains 0, and
+    the search skips the codes without 0.
     Beyond s^n = 2^10 the lower witness is the repetition code.
     """
     if n < 0 or s < 2:
@@ -624,7 +627,7 @@ def a_s_exact(n, d, s):
     # the search guard lies below _LEXICODE_CAP, so the rows are built
     value, mask, _ = _search.max_independent_set(
         rows, total, _exterior_clique_cover(masks, s, range(d - 1)),
-        seed_mask=code_mask,
+        seed_mask=code_mask, transitive=True,
     )
     return CodeSizeResult(
         n, d, s, True, value, value, tuple(sorted(_mask_to_set(mask))),

@@ -61,6 +61,43 @@ def weak_components(d):
     return comps
 
 
+def is_circulant(d):
+    """Edge scan: every edge u -> v comes with u + 1 -> v + 1 mod n."""
+    return all(d.has_edge((u + 1) % d.n, (v + 1) % d.n) for u, v in d.edges())
+
+
+def brute_girth(d):
+    """Shortest directed cycle by listing vertex sequences; None if acyclic."""
+    for k in range(2, d.n + 1):
+        for vs in itertools.permutations(range(d.n), k):
+            if all(d.has_edge(vs[i], vs[(i + 1) % k]) for i in range(k)):
+                return k
+    return None
+
+
+def mutual_reach_classes(d):
+    """Strong components as a set of frozensets: vertices that reach each other."""
+    reach = []
+    for v in range(d.n):
+        seen, todo = {v}, [v]
+        while todo:
+            for w in d.out_adj[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach.append(seen)
+    return {frozenset(u for u in reach[v] if v in reach[u]) for v in range(d.n)}
+
+
+def lex_first_independent_set(rows, size):
+    """First independent ``size``-subset of a bitmask graph in
+    ``itertools.combinations`` order, as a sorted tuple."""
+    return next(
+        vs for vs in itertools.combinations(range(len(rows)), size)
+        if not any(rows[u] >> v & 1 for u, v in itertools.combinations(vs, 2))
+    )
+
+
 def brute_proper(d, s, colors):
     """Per-pair scan: no two adjacent configurations share a colour."""
     return not any(

@@ -265,6 +265,16 @@ class TestStoppedSearches:
                 assert gl._min_rank_exhaustive(d, p, budget, floor=floor) == (rank, witness)
 
     @pytest.mark.parametrize("p", [2, 3])
+    def test_exhaustive_ceiling(self, p):
+        # starting from a reachable rank still finds the first optimal pattern
+        budget = gl.DEFAULT_LINEAR_BUDGET
+        for d, _ in self.digraphs(60 + p):
+            rank, witness = gl._min_rank_exhaustive(d, p, budget)
+            for ceiling in (rank, d.n - gl._bounded_lower(d, p)[0]):
+                got = gl._min_rank_exhaustive(d, p, budget, ceiling=ceiling)
+                assert got == (rank, witness)
+
+    @pytest.mark.parametrize("p", [2, 3])
     def test_rank_of_support_matches_dense_rank(self, p):
         for d, rng in self.digraphs(70 + p):
             coeffs = {e: rng.randrange(p) for e in d.edges()}

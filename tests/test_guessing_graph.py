@@ -13,6 +13,7 @@ from oracles import (
     brute_degree,
     brute_neighbors,
     inclusion_exclusion_degree,
+    is_circulant,
     random_digraph,
     weak_components,
 )
@@ -226,8 +227,9 @@ class TestDegreeClosedForm:
     def test_cap_counts_one_node_per_walked_set(self, monkeypatch):
         # each weak component is walked once: one node per nonempty closed
         # set when every in-degree is at most 1, one per nonempty independent
-        # set otherwise, so the guard trips exactly when the cap is one below
-        # their total
+        # set otherwise (on a circulant, per one containing the component's
+        # lowest vertex), so the guard trips exactly when the cap is one
+        # below their total
         rng = random.Random(6)
         cases = []
         for _ in range(12):
@@ -246,9 +248,14 @@ class TestDegreeClosedForm:
             cases.append(dg.cycle(rng.randint(2, 9)))
             cases.append(random_digraph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.5)))
         cases += [dg.disjoint_union(a, b) for a, b in zip(cases, cases[1:])]
-        walked = 0
+        for n in range(3, 10):  # circulants, some with several weak components
+            for shifts in ({1, 2}, {2, n - 2}, set(rng.sample(range(1, n), 2))):
+                cases.append(dg.Digraph(n, [(v, (v + j) % n) for v in range(n) for j in shifts]))
+        walked = rotating = 0
         for d in cases:
             nodes = sum(walked_sets(d, comp) for comp in weak_components(d))
+            rotating += is_circulant(d) and any(
+                d.in_degree(v) > 1 for v in range(d.n))
             monkeypatch.setattr(gg, "_DEGREE_NODE_CAP", nodes)
             expected = gg.degree_closed_form(d, 3)
             assert expected == inclusion_exclusion_degree(d, 3)
@@ -260,17 +267,23 @@ class TestDegreeClosedForm:
                 gg.degree_closed_form(d, 3)
             assert (exc.value.needed, exc.value.guard) == (nodes, nodes - 1)
         assert walked >= 100
+        assert rotating >= 5
 
 
 def walked_sets(d, comp):
-    """Nonempty sets a weak component's walk visits, counted by subset scan."""
+    """Nonempty sets a weak component's walk visits, counted by subset scan.
+
+    Inclusion-exclusion on a circulant walks only the sets that contain
+    the component's lowest vertex.
+    """
     closed = all(d.in_degree(v) <= 1 for v in comp)
+    lowest = min(comp) if is_circulant(d) and not closed else None
     count = 0
     for k in range(1, len(comp) + 1):
         for vs in itertools.combinations(sorted(comp), k):
             if closed:
                 count += all(d.in_adj[v] & set(vs) for v in vs)
-            else:
+            elif lowest is None or lowest in vs:
                 count += not any(d.has_edge(u, v) for u in vs for v in vs)
     return count
 

@@ -7,7 +7,7 @@ import pytest
 from guessnum import digraph as dg
 from guessnum import guessing_graph as gg
 from guessnum import netcode, solvers
-from guessnum.errors import InvalidInstance, NotAcyclic, SelfDemandLoop
+from guessnum.errors import InvalidInstance, LoopEdge, NotAcyclic, SelfDemandLoop
 
 from oracles import random_digraph, simulate_instance
 
@@ -51,6 +51,20 @@ class TestConversion:
         )
         with pytest.raises(InvalidInstance):
             netcode.to_guessing_digraph(inst)
+
+    def test_acyclicity_check(self):
+        inst = netcode.NetworkInstance(
+            sources=("s0",), sinks=("t0",), intermediates=("a", "b", "c"),
+            edges=(("s0", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("c", "t0")),
+        )
+        with pytest.raises(InvalidInstance, match="underlying digraph has a directed cycle"):
+            inst.validate()
+        looped = dataclasses.replace(inst, edges=(("s0", "a"), ("a", "a"), ("a", "t0")))
+        with pytest.raises(LoopEdge, match="loop at vertex 2 rejected"):
+            looped.validate()
+        diamond = dataclasses.replace(inst, edges=(
+            ("s0", "a"), ("s0", "b"), ("a", "c"), ("b", "c"), ("a", "c"), ("c", "t0")))
+        assert diamond.validate() is None
 
     def test_source_with_inputs_rejected(self):
         inst = netcode.NetworkInstance(

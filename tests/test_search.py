@@ -23,6 +23,18 @@ def proper(rows, colors):
                for v in range(len(rows)) if rows[u] >> v & 1)
 
 
+class TestMaxIndependentSet:
+    def test_star_keeps_the_full_search(self):
+        # the only optimum of a star centred at 0 is its leaves, which a
+        # search that does not claim transitivity still finds; the claim
+        # skips every set without vertex 0
+        leaves = (1 << 6) - 2
+        rows = [leaves] + [1] * 5
+        count = lambda candidates: candidates.bit_count()
+        assert _search.max_independent_set(rows, 6, count) == (5, leaves, True)
+        assert _search.max_independent_set(rows, 6, count, transitive=True) == (1, 1, True)
+
+
 class TestFindKColoring:
     def test_same_answer_as_the_reference_under_every_budget(self):
         # equal answers at every budget mean the nodes are visited in the
