@@ -81,9 +81,9 @@ class NetworkInstance:
         index = {name: i for i, name in enumerate(names)}
         rows = [0] * len(names)
         indeg = [0] * len(names)
-        for u, v in set(self.edges):
+        for u, v in dict.fromkeys(self.edges):
             if u == v:
-                raise LoopEdge(f"loop at vertex {index[u]} rejected")
+                raise LoopEdge(f"loop at node {u} rejected")
             rows[index[u]] |= 1 << index[v]
             indeg[index[v]] += 1
         # Kahn's algorithm: drop vertices whose in-edges are all dropped

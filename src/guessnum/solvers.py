@@ -396,13 +396,37 @@ def _translation(shift, s):
     return index
 
 
+def _coset_leads(handle, subgroup_mask):
+    """Per coordinate m, ``(d_m, low)``: the leading digit of the lowest
+    set bit of ``subgroup_mask`` in the window [s^m, s^(m+1)), and that
+    code's lower coordinates as a code; ``(s, 0)`` when the window is
+    empty.  Reads O(n) masks."""
+    s = handle.s
+    leads = []
+    for m in range(handle.n):
+        unit = s**m
+        window = subgroup_mask & ((1 << unit * s) - (1 << unit))
+        if window:
+            leads.append(divmod((window & -window).bit_length() - 1, unit))
+        else:
+            leads.append((s, 0))
+    return leads
+
+
+def _coset_count(handle, subgroup_mask):
+    """The colour count of :func:`_coset_coloring`, the product of the
+    leading digits d_m, without building the colouring."""
+    return math.prod(lead for lead, _ in _coset_leads(handle, subgroup_mask))
+
+
 def _coset_coloring(handle, subgroup_mask):
     """Colour each configuration by its coset of the subgroup H of Z_s^n
     whose codes ``subgroup_mask`` holds.
 
     Any mask gives a colouring, since only the lowest set bit in each
-    window [s^m, s^(m+1)) is read; when the mask is not an independent
-    subgroup, :func:`_proper` decides whether the colouring is proper.
+    window [s^m, s^(m+1)) is read (:func:`_coset_leads`); when the mask
+    is not an independent subgroup, :func:`_proper` decides whether the
+    colouring is proper.
 
     The cosets are numbered in the order of their smallest codes, as an
     ascending scan would meet them.  The leading digits of the elements
@@ -411,21 +435,18 @@ def _coset_coloring(handle, subgroup_mask):
     smallest such element h_m, the lowest set bit of the mask in
     [s^m, s^(m+1)), has leading digit d_m.  A coset's
     smallest code has digit m in [0, d_m), and the coset's number is
-    that code read in the radices d_m.  So the colours are built one
+    that code read in the radices d_m, so the colours are 0 to
+    prod d_m - 1 (:func:`_coset_count`).  They are built one
     coordinate at a time, O(s) list elements per configuration: over
     the first m + 1 coordinates, top digit a = q d_m + r gives r times
     the number of colours below, plus the previous colours read through
     the translation by -q h_m on the lower coordinates.
     """
-    n, s = handle.n, handle.s
-    powers = [s**j for j in range(n + 1)]
+    s = handle.s
     colors = [0]
     count = 1
-    for m in range(n):
-        window = subgroup_mask & ((1 << powers[m + 1]) - (1 << powers[m]))
-        h = (window & -window).bit_length() - 1
-        lead = h // powers[m] if window else s
-        below = decode(h % powers[m], m, s) if window else ()
+    for m, (lead, low) in enumerate(_coset_leads(handle, subgroup_mask)):
+        below = decode(low, m, s)
         previous = colors
         colors = previous[:]  # top digit 0
         for a in range(1, s):
@@ -459,14 +480,18 @@ def chromatic_number(handle, mis_witness=None, node_budget=None, alpha_upper=Non
     largest independent set), s^n / alpha_upper rounded up, since every
     class is independent.  Upper candidates: coset colorings
     (:func:`_coset_coloring`) from the all-ones linear strategy's fixed
-    space and from the supplied witness, as bitmasks, and greedy DSATUR
-    on bitmask state, run only when no coset coloring meets the lower
-    bound; the first proper coset coloring that meets it ends the list.
-    :func:`_proper` is the only check: it keeps the proper
-    candidates, subgroups or not, and re-verifies the result.  On an
-    acyclic digraph the seed is {0}, whose s^n singleton cosets meet the
-    bound s^n.  The first candidate with the fewest colors
-    seeds iterative-deepening backtracking, which closes any gap left.
+    space and from the supplied witness, as bitmasks.  Their colour
+    counts are read first (:func:`_coset_count`), and they are built
+    and checked by :func:`_proper` fewest colours first, the seed first
+    on a tie, until one is proper: the proper coset coloring with the
+    fewest colours.  On an acyclic digraph the seed is {0}, whose s^n
+    singleton cosets meet the bound s^n.  Greedy DSATUR on bitmask
+    state runs only when that coloring is missing or misses the lower
+    bound, and replaces it only with strictly fewer colours.  The
+    result seeds iterative-deepening backtracking, which closes any gap
+    left; a coloring from DSATUR or from the backtracking passes
+    :func:`_proper` before it is returned, so every returned coloring
+    is checked exactly once.
     """
     handle.materialize()
     s, total = handle.s, handle.n_configs
@@ -476,20 +501,22 @@ def chromatic_number(handle, mis_witness=None, node_budget=None, alpha_upper=Non
     independent = [_seed(handle)]
     if mis_witness:
         independent.append(sum(1 << x for x in mis_witness))
-    candidates = []
-    for mask in independent:
+    proper = None
+    order = sorted((_coset_count(handle, m), i, m) for i, m in enumerate(independent))
+    for k, _, mask in order:
         colors = _coset_coloring(handle, mask)
         if _proper(handle, colors):
-            candidates.append(colors)
-            if max(colors) + 1 <= lower:
-                break
-    else:
-        candidates.append(_search.greedy_dsatur(handle.rows, total))
-    initial = min(candidates, key=lambda c: max(c) + 1)
+            proper = colors
+            break
+    initial = proper
+    if proper is None or k > lower:
+        greedy = _search.greedy_dsatur(handle.rows, total)
+        if proper is None or max(greedy) + 1 < k:
+            initial, k = greedy, max(greedy) + 1
     chi, coloring, exact = _search.exact_chromatic(
         handle.rows, total, lower, initial, node_budget=node_budget
     )
-    if not _proper(handle, coloring):
+    if (chi < k or initial is not proper) and not _proper(handle, coloring):
         raise AssertionError("coloring fails re-verification")
     return ChromaticResult(chi, tuple(coloring), exact)
 

@@ -15,7 +15,15 @@ from guessnum.digraph import Digraph, MasResult, gf2_rank
 from guessnum.errors import BadParams
 from guessnum.gf_linear import GfMatrix
 from guessnum.guessing_graph import _mask_to_set, decode, encode
-from guessnum.solvers import DEFAULT_CODE_SEARCH_GUARD, _LEXICODE_CAP, CodeSizeResult
+from guessnum.solvers import (
+    DEFAULT_CODE_SEARCH_GUARD,
+    _LEXICODE_CAP,
+    ChromaticResult,
+    CodeSizeResult,
+    _coset_coloring,
+    _proper,
+    _seed,
+)
 
 
 def brute_adjacent(d, s, x, y):
@@ -461,6 +469,31 @@ def brute_alpha(d, s):
     return best
 
 
+def branch_alpha(d, s):
+    """Maximum independent set of the configuration graph by plain
+    include/exclude branching over :func:`brute_adjacent`, pruned only
+    when the candidates left cannot beat the best set found."""
+    total = s**d.n
+    later_neighbors = [
+        {y for y in range(x + 1, total) if brute_adjacent(d, s, x, y)} for x in range(total)
+    ]
+    best = 0
+
+    def branch(size, candidates):
+        nonlocal best
+        if size + len(candidates) <= best:
+            return
+        if not candidates:
+            best = size
+            return
+        x, rest = candidates[0], candidates[1:]
+        branch(size + 1, [y for y in rest if y not in later_neighbors[x]])
+        branch(size, rest)
+
+    branch(0, list(range(total)))
+    return best
+
+
 def hamming(x, y, n, s):
     xs, ys = decode(x, n, s), decode(y, n, s)
     return sum(1 for a, b in zip(xs, ys) if a != b)
@@ -720,6 +753,44 @@ def scan_coset_coloring(n, s, subgroup_codes):
             colors[encode(tuple((u + v) % s for u, v in zip(xs, g)), s)] = nxt
         nxt += 1
     return colors
+
+
+def candidate_loop_chromatic(handle, mis_witness=None, node_budget=None,
+                             alpha_upper=None):
+    """``solvers.chromatic_number`` with its starting colouring chosen by
+    the candidate loop.
+
+    The coset colourings of the all-ones seed, then of the witness, are
+    each built and checked; a proper one is kept, and the first proper
+    one that meets the lower bound ends the list.  When none does,
+    greedy DSATUR joins the candidates.  The first candidate with the
+    fewest colours seeds ``exact_chromatic``, and the result is checked
+    again.
+    """
+    handle.materialize()
+    s, total = handle.s, handle.n_configs
+    lower = s**handle.mas.size
+    if alpha_upper:
+        lower = max(lower, -(-total // alpha_upper))
+    independent = [_seed(handle)]
+    if mis_witness:
+        independent.append(sum(1 << x for x in mis_witness))
+    candidates = []
+    for mask in independent:
+        colors = _coset_coloring(handle, mask)
+        if _proper(handle, colors):
+            candidates.append(colors)
+            if max(colors) + 1 <= lower:
+                break
+    else:
+        candidates.append(_search.greedy_dsatur(handle.rows, total))
+    initial = min(candidates, key=lambda c: max(c) + 1)
+    chi, coloring, exact = _search.exact_chromatic(
+        handle.rows, total, lower, initial, node_budget=node_budget
+    )
+    if not _proper(handle, coloring):
+        raise AssertionError("coloring fails re-verification")
+    return ChromaticResult(chi, tuple(coloring), exact)
 
 
 def brute_span(basis, s):

@@ -60,7 +60,7 @@ class TestConversion:
         with pytest.raises(InvalidInstance, match="underlying digraph has a directed cycle"):
             inst.validate()
         looped = dataclasses.replace(inst, edges=(("s0", "a"), ("a", "a"), ("a", "t0")))
-        with pytest.raises(LoopEdge, match="loop at vertex 2 rejected"):
+        with pytest.raises(LoopEdge, match="loop at node a rejected"):
             looped.validate()
         diamond = dataclasses.replace(inst, edges=(
             ("s0", "a"), ("s0", "b"), ("a", "c"), ("b", "c"), ("a", "c"), ("c", "t0")))

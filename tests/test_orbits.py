@@ -21,7 +21,7 @@ from guessnum import solvers
 
 from oracles import (
     all_digraphs,
-    brute_alpha,
+    branch_alpha,
     brute_code_size,
     brute_degree,
     brute_girth,
@@ -126,8 +126,8 @@ class TestSmallDigraphs:
             with full_search(monkeypatch):
                 assert solvers.max_independent_set(handle) == mis
             assert mis.witness[0] == 0 and mis.exact
+            assert mis.alpha == branch_alpha(d, s)
             if s**d.n <= 9:
-                assert mis.alpha == brute_alpha(d, s)
                 assert mis.witness == lex_first_independent_set(handle.rows, mis.alpha)
 
     def test_code_search(self, monkeypatch):

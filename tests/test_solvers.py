@@ -20,6 +20,7 @@ from oracles import (
     brute_is_subgroup,
     brute_proper,
     brute_span,
+    candidate_loop_chromatic,
     cartesian_adjacent,
     co_normal_adjacent,
     gf4_evaluation_code,
@@ -370,6 +371,97 @@ class TestColoring:
                     assert not h.adjacent(a, b)
 
 
+class TestOneColoring:
+    """``chromatic_number`` reads the coset counts first, then builds and
+    checks the cheapest proper coset colouring only."""
+
+    @staticmethod
+    def same(h, **kwargs):
+        res = solvers.chromatic_number(h, **kwargs)
+        assert res == candidate_loop_chromatic(h, **kwargs)
+        return res
+
+    def test_matches_the_candidate_loop_on_small_digraphs(self):
+        # every digraph with n <= 3 at s = 2 and 3, and with n = 4 at s = 2
+        for n in range(5):
+            for d in all_digraphs(n):
+                for s in (2, 3) if n <= 3 else (2,):
+                    h = handle(d, s)
+                    mis = solvers.max_independent_set(h)
+                    self.same(h)
+                    self.same(h, mis_witness=mis.witness)
+                    self.same(h, mis_witness=mis.witness, alpha_upper=mis.alpha)
+
+    def test_matches_the_candidate_loop_on_non_subgroup_witnesses(self):
+        improper = dg.from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 0), (1, 2),
+                                         (1, 3), (2, 0), (2, 1), (2, 3), (3, 0)])
+        for d, s in ((improper, 3), (dg.clique(3), 4), (dg.clique(3), 6)):
+            h = handle(d, s)
+            mis = solvers.max_independent_set(h)
+            assert not brute_is_subgroup(mis.witness, d.n, s)
+            for alpha in (None, mis.alpha):
+                self.same(h, mis_witness=mis.witness, node_budget=500, alpha_upper=alpha)
+
+    def test_matches_the_candidate_loop_when_backtracking_improves(self, monkeypatch):
+        # the seed's 8 cosets are proper, DSATUR needs 5 colours and the
+        # backtracking finds chi = s^mas = 4
+        found = []
+        search = solvers._search.find_k_coloring
+
+        def recorded(rows, n, k, node_budget=None):
+            col, complete = search(rows, n, k, node_budget=node_budget)
+            found.append(col is not None)
+            return col, complete
+
+        monkeypatch.setattr(solvers._search, "find_k_coloring", recorded)
+        d = dg.from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0)])
+        h = handle(d, 2).materialize()
+        assert solvers._coset_count(h, solvers._seed(h)) == 8
+        assert max(solvers._search.greedy_dsatur(h.rows, 16)) + 1 == 5
+        res = self.same(h)
+        assert (res.chi, res.exact) == (4, True)
+        assert found == [True, True]  # k = 4 succeeds once per call
+
+    def test_a_dsatur_tie_keeps_the_coset_coloring(self, monkeypatch):
+        # K_3 over [3] without a witness: the seed {0} gives 27 singleton
+        # cosets; a DSATUR colouring with as many colours must not replace
+        # them, and a budget of one node keeps the backtracking from
+        # improving on either
+        monkeypatch.setattr(solvers._search, "greedy_dsatur", lambda rows, n: list(range(n))[::-1])
+        h = handle(dg.clique(3), 3)
+        res = self.same(h, node_budget=1)
+        assert (res.chi, res.coloring, res.exact) == (27, tuple(range(27)), False)
+
+    def test_one_build_and_one_check(self, monkeypatch):
+        checked = []
+        built = []
+        proper = solvers._proper
+        coset = solvers._coset_coloring
+
+        def recorded_proper(h, colors):
+            checked.append(list(colors))
+            return proper(h, colors)
+
+        def recorded_coset(h, mask):
+            built.append(mask)
+            return coset(h, mask)
+
+        monkeypatch.setattr(solvers, "_proper", recorded_proper)
+        monkeypatch.setattr(solvers, "_coset_coloring", recorded_coset)
+        for s in (2, 3):
+            for n in (2, 3, 4):
+                for d in (dg.cycle(n), dg.clique(n)):
+                    h = handle(d, s)
+                    mis = solvers.max_independent_set(h)
+                    for witness in (None, mis.witness):
+                        checked.clear()
+                        built.clear()
+                        res = solvers.chromatic_number(h, mis_witness=witness)
+                        assert checked.count(list(res.coloring)) == 1
+                        if witness:
+                            assert len(checked) == len(built) == 1
+
+
 class TestProper:
     """``_proper`` against a per-pair scan of the definition."""
 
@@ -524,6 +616,21 @@ class TestCosetColoring:
         even = [gg.encode(w, 4) for w in ((0, 0), (2, 0), (0, 2), (2, 2))]
         colors = solvers._coset_coloring(h, mask_of(even))
         assert colors == [0, 1, 0, 1, 2, 3, 2, 3, 0, 1, 0, 1, 2, 3, 2, 3]
+
+    def test_count_is_the_product_of_the_leading_digits(self):
+        # random sparse masks, most not subgroups: empty windows, and
+        # leading digits that do not divide s, such as 2 at s = 3
+        rng = random.Random(46)
+        leads = set()
+        for s in (2, 3, 4, 6):
+            for _ in range(80):
+                n = rng.randint(0, 4 if s <= 3 else 3)
+                h = handle(dg.from_edge_list(n, []), s)
+                mask = mask_of(rng.sample(range(s**n), rng.randint(0, min(5, s**n))))
+                colors = solvers._coset_coloring(h, mask)
+                assert solvers._coset_count(h, mask) == max(colors) + 1
+                leads.update((s, lead) for lead, _ in solvers._coset_leads(h, mask))
+        assert {(2, 2), (3, 3), (3, 2), (4, 3), (6, 4), (6, 5)} <= leads
 
 
 class TestLinearSeedCodes:
