@@ -7,10 +7,6 @@ ascending, so reported witnesses are reproducible.
 
 from __future__ import annotations
 
-import sys
-
-sys.setrecursionlimit(100_000)
-
 
 def max_independent_set(rows, n, bound, seed_mask=0, node_budget=None,
                         transitive=False):
@@ -41,27 +37,26 @@ def max_independent_set(rows, n, bound, seed_mask=0, node_budget=None,
     every = (1 << n) - 1
     # the node whose candidates equal ``root`` skips its exclude branch
     root = every if transitive else -1
-
-    def dfs(size, mask, candidates):
-        nonlocal best_size, best_mask, nodes, exhausted
+    # (size, mask, candidates) per node; the exclude branch goes below
+    # the include branch, so it is visited once that subtree is done
+    stack = [(0, 0, every)]
+    while stack:
+        size, mask, candidates = stack.pop()
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             exhausted = True
-            return
+            break
         if not candidates:
             if size > best_size:
                 best_size, best_mask = size, mask
-            return
+            continue
         if size + bound(candidates) <= best_size:
-            return
+            continue
         low = candidates & -candidates
+        if candidates != root:
+            stack.append((size, mask, candidates ^ low))
         v = low.bit_length() - 1
-        dfs(size + 1, mask | low, candidates & ~rows[v] & ~low)
-        if exhausted or candidates == root:
-            return
-        dfs(size, mask, candidates ^ low)
-
-    dfs(0, 0, every)
+        stack.append((size + 1, mask | low, candidates & ~rows[v] & ~low))
     if best_mask == seed_mask and seed_mask:
         best_size = seed_mask.bit_count()
     return best_size, best_mask, not exhausted
@@ -127,29 +122,12 @@ def greedy_dsatur(rows, n):
 
     Each step colours the uncoloured vertex with the most distinct
     neighbour colours, then the highest degree, then the lowest index,
-    with the lowest colour none of its neighbours has.  The state is the
-    bitmasks of :func:`find_k_coloring` (``seen`` per colour, ``level``
-    per saturation), so a step costs O(colours) mask operations instead
-    of a scan of every uncoloured vertex.
+    with the lowest colour none of its neighbours has.  That is the
+    first descent of the :func:`find_k_coloring` search with a colour
+    for every vertex: a new colour is always allowed, so the descent
+    never backtracks.
     """
-    colors = [-1] * n
-    seen = []
-    level = [(1 << n) - 1] + [0] * n
-    degree_masks = _degree_masks(rows, n)
-    for _ in range(n):
-        used = len(seen)
-        v, j = _pick(level, used, degree_masks)
-        bit = 1 << v
-        level[j] ^= bit
-        c = 0
-        while c < used and seen[c] & bit:
-            c += 1
-        if c == used:
-            seen.append(0)
-        colors[v] = c
-        _saturate(level, used, rows[v] & ~seen[c])
-        seen[c] |= rows[v]
-    return colors
+    return _dsatur_search(rows, n, n, None)[0]
 
 
 def find_k_coloring(rows, n, k, node_budget=None):
@@ -158,51 +136,69 @@ def find_k_coloring(rows, n, k, node_budget=None):
     Returns (colouring_or_None, complete).  A None with complete=True is
     a proof that no k-colouring exists; with complete=False the budget
     ran out first (budget None = complete search).
+    """
+    return _dsatur_search(rows, n, k, node_budget)
+
+
+def _dsatur_search(rows, n, k, node_budget):
+    """The search of :func:`find_k_coloring`, shared with
+    :func:`greedy_dsatur`, whose descent is thus no call of
+    :func:`find_k_coloring`.
 
     The next vertex has the most distinct neighbour colours, then the
     highest degree, then the lowest index; colours are tried ascending,
     and a new one only after every colour in use.  The state is bitmasks:
     ``seen[c]`` holds the vertices with a neighbour coloured c, and
     ``level[j]`` the uncoloured vertices that see j colours, so a node
-    costs O(k) mask operations instead of a scan of every vertex.
+    costs O(k) mask operations instead of a scan of every vertex.  Each
+    coloured vertex has a frame on an explicit stack: the vertex, the
+    levels saved after it left its own, the colour count u before it,
+    its colour, and ``seen`` of that colour before it.  Only levels
+    0..u + 1 are saved: no vertex sees more colours than are in use, so
+    when its subtree is undone no higher level is occupied.  Every node
+    counts against the budget, the last one (every vertex coloured) too.
     """
     colors = [-1] * n
     seen = [0] * k
     level = [(1 << n) - 1] + [0] * k
     degree_masks = _degree_masks(rows, n)
+    frames = []
+    used = 0
     nodes = 0
-    exhausted = False
-
-    def backtrack(colored, used):
-        nonlocal nodes, exhausted
+    while True:
         nodes += 1
         if node_budget is not None and nodes > node_budget:
-            exhausted = True
-            return False
-        if colored == n:
-            return True
+            return None, False
+        if len(frames) == n:
+            return colors, True
         v, j = _pick(level, used, degree_masks)
-        bit = 1 << v
-        level[j] ^= bit
-        saved = level[:]
-        for c in range(min(used + 1, k)):
-            before = seen[c]
-            if before & bit:
-                continue
-            colors[v] = c
-            _saturate(level, used, rows[v] & ~before)
-            seen[c] = before | rows[v]
-            if backtrack(colored + 1, max(used, c + 1)):
-                return True
-            seen[c] = before
-            level[:] = saved
-            if exhausted:
-                return False
-        return False
-
-    if backtrack(0, 0):
-        return list(colors), True
-    return None, not exhausted
+        level[j] ^= 1 << v
+        frames.append([v, level[:used + 2], used, -1, 0])
+        # give the deepest vertex its next colour; one with none left
+        # goes, and the vertex before it moves on
+        while frames:
+            frame = frames[-1]
+            v, saved, used, c, before = frame
+            if c >= 0:
+                seen[c] = before
+                level[:used + 2] = saved
+            bit = 1 << v
+            top = used + 1 if used < k else k
+            c += 1
+            while c < top and seen[c] & bit:
+                c += 1
+            if c < top:
+                before = seen[c]
+                colors[v] = c
+                _saturate(level, used, rows[v] & ~before)
+                seen[c] = before | rows[v]
+                frame[3], frame[4] = c, before
+                if c == used:
+                    used += 1
+                break
+            frames.pop()
+        else:
+            return None, True
 
 
 def exact_chromatic(rows, n, lower, initial_coloring, node_budget=None):

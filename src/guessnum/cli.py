@@ -450,7 +450,7 @@ def main(argv=None):
     except GuessnumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -51,7 +51,7 @@ class Gf2Poly:
         return (self.bits >> i) & 1
 
     def support(self):
-        return tuple(i for i in range(self.bits.bit_length()) if (self.bits >> i) & 1)
+        return tuple([i for i in range(self.bits.bit_length()) if (self.bits >> i) & 1])
 
     # -- arithmetic ----------------------------------------------------
 
@@ -116,10 +116,6 @@ class Gf2Poly:
 
     def __repr__(self):
         return f"Gf2Poly({self.to_terms()})"
-
-
-def poly_gcd(a, b):
-    return a.gcd(b)
 
 
 def parse_poly(text):

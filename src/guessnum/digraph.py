@@ -43,8 +43,13 @@ class Digraph:
             out_adj[u].add(v)
             in_adj[v].add(u)
         self.n = n
-        self.out_adj = tuple(frozenset(s) for s in out_adj)
-        self.in_adj = tuple(frozenset(s) for s in in_adj)
+        # the package builds its tuples from lists: CPython builds a tuple
+        # from a generator at a guessed size and resizes it, so it never
+        # takes a freed tuple of its final size, yet it is kept for one
+        # once freed; that free list then grows until a full garbage
+        # collection empties it
+        self.out_adj = tuple([frozenset(s) for s in out_adj])
+        self.in_adj = tuple([frozenset(s) for s in in_adj])
 
     # -- basic queries -------------------------------------------------
 
@@ -229,9 +234,9 @@ def strong_components(d):
     if alike and rotation_invariant(d.out_rows()):
         g = gcd(n, *d.out_adj[0]) if n else 0
         return SccResult(
-            tuple(tuple(range(i, n, g)) for i in range(g)),
+            tuple([tuple(range(i, n, g)) for i in range(g)]),
             Digraph(g),
-            tuple(v % g for v in range(n)),
+            tuple([v % g for v in range(n)]),
         )
     index = [-1] * n
     low = [0] * n
@@ -488,43 +493,49 @@ def _mas_search(out_rows, mask, budget, transitive=False):
     members = []
     nodes = 0
     exhausted = False
+    # the root, then one frame per member: [candidates left, chosen mask,
+    # reach rows]; a frame includes each candidate in turn, ascending,
+    # and excluding it is the frame's next turn
+    frames = [[mask, 0, [0] * n]]
+    while frames:
+        frame = frames[-1]
+        candidates, chosen, beyond = frame
+        count = len(members)
+        if not count + candidates.bit_count() > best_size < cap:
+            frames.pop()
+            if count:
+                members.pop()
+            if transitive and count == 1:
+                break  # the root gets no second turn
+            continue
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            break
+        low = candidates & -candidates
+        candidates ^= low
+        frame[0] = candidates
+        v = low.bit_length() - 1
+        ahead = out_rows[v]  # one edge past every chosen vertex v reaches
+        m = ahead & chosen
+        while m:
+            b = m & -m
+            ahead |= beyond[b.bit_length() - 1]
+            m ^= b
+        grown = list(beyond)
+        grown[v] = ahead
+        behind = in_rows[v]  # one edge before every chosen vertex reaching v
+        if behind & chosen:
+            for u in members:
+                if beyond[u] & low:
+                    grown[u] = beyond[u] | ahead
+                    behind |= in_rows[u]
+        members.append(v)
+        if count + 1 > best_size:
+            best_size = count + 1
+            best = tuple(members)
+        frames.append([candidates & ~(ahead & behind), chosen | low, grown])
 
-    def dfs(candidates, chosen, beyond, count):
-        # include each candidate in turn, ascending; excluding it is the
-        # next turn of the loop
-        nonlocal best_size, best, nodes, exhausted
-        while count + candidates.bit_count() > best_size < cap:
-            nodes += 1
-            if nodes > budget:
-                exhausted = True
-                return
-            low = candidates & -candidates
-            candidates ^= low
-            v = low.bit_length() - 1
-            ahead = out_rows[v]  # one edge past every chosen vertex v reaches
-            m = ahead & chosen
-            while m:
-                b = m & -m
-                ahead |= beyond[b.bit_length() - 1]
-                m ^= b
-            grown = list(beyond)
-            grown[v] = ahead
-            behind = in_rows[v]  # one edge before every chosen vertex reaching v
-            if behind & chosen:
-                for u in members:
-                    if beyond[u] & low:
-                        grown[u] = beyond[u] | ahead
-                        behind |= in_rows[u]
-            members.append(v)
-            if count + 1 > best_size:
-                best_size = count + 1
-                best = tuple(members)
-            dfs(candidates & ~(ahead & behind), chosen | low, grown, count + 1)
-            members.pop()
-            if exhausted or transitive and not count:
-                return
-
-    dfs(mask, 0, [0] * n, 0)
     if exhausted:
         fallback = _greedy_acyclic_set(in_rows, mask)
         if len(fallback) > best_size:
@@ -566,7 +577,7 @@ def clique_partition_number(d):
     parts = [[] for _ in range(count)]
     for v, c in enumerate(coloring):
         parts[c].append(v)
-    parts = tuple(tuple(p) for p in sorted(parts))
+    parts = tuple([tuple(p) for p in sorted(parts)])
     return CliquePartitionResult(count, parts, exact)
 
 

@@ -66,7 +66,7 @@ class GfMatrix:
 
     def __init__(self, entries, p):
         _check_prime(p)
-        entries = tuple(tuple(int(e) % p for e in row) for row in entries)
+        entries = tuple([tuple([int(e) % p for e in row]) for row in entries])
         if entries and any(len(row) != len(entries[0]) for row in entries):
             raise BadParams("ragged matrix")
         self.entries = entries
@@ -116,9 +116,9 @@ class GfMatrix:
         return GfMatrix(out, self.p)
 
     def mul_vec(self, vec):
-        return tuple(
+        return tuple([
             sum(a * x for a, x in zip(row, vec)) % self.p for row in self.entries
-        )
+        ])
 
     def support(self):
         return {(i, j) for i, row in enumerate(self.entries) for j, e in enumerate(row) if e}
@@ -170,7 +170,7 @@ def _push(p, pivots, vec):
     else:
         lead = next(c for c, e in enumerate(vec) if e)
         inv = pow(vec[lead], p - 2, p)
-        pivots.append((lead, tuple((e * inv) % p for e in vec)))
+        pivots.append((lead, tuple([(e * inv) % p for e in vec])))
     return True
 
 
@@ -220,7 +220,7 @@ def _dependencies(p, width, vectors):
     """The dependencies of :func:`_reduction` as coordinate tuples."""
     found = _reduction(p, width, vectors)[1]
     if p == 2:
-        return [tuple(dep >> j & 1 for j in range(len(vectors))) for dep in found]
+        return [tuple([dep >> j & 1 for j in range(len(vectors))]) for dep in found]
     return [tuple(dep) for dep in found]
 
 
@@ -239,23 +239,6 @@ def nullspace_gfp(matrix):
 
 
 # -- digraph-shaped matrices ------------------------------------------
-
-
-def adjacency_matrix(d, p=2):
-    return GfMatrix(
-        [[1 if v in d.out_adj[u] else 0 for v in range(d.n)] for u in range(d.n)], p
-    )
-
-
-def identity_plus(d, p=2):
-    m = adjacency_matrix(d, p)
-    return GfMatrix(
-        [
-            [(1 if i == j else 0) + m.entries[i][j] for j in range(d.n)]
-            for i in range(d.n)
-        ],
-        p,
-    )
 
 
 @dataclass(frozen=True)
@@ -362,7 +345,7 @@ def _matrix_from_coeffs(d, p, coeffs):
     entries = [[0] * n for _ in range(n)]
     for (u, v), val in coeffs.items():
         entries[u][v] = val % p
-    return GfMatrix._of_residues(tuple(map(tuple, entries)), p)
+    return GfMatrix._of_residues(tuple([tuple(row) for row in entries]), p)
 
 
 def _tagged_reduction(p, n, rows):
@@ -516,47 +499,55 @@ def _min_rank_exhaustive(d, p, budget, floor=0, ceiling=None):
     out_rows = d.out_rows()
     if p ** d.edge_count() > budget:
         raise BadParams("pattern space exceeds budget")
-    best = [(n if ceiling is None else ceiling) + 1, None]
+    best_rank = (n if ceiling is None else ceiling) + 1
+    best = None
     pivots = []
-
-    def push(v, combo):
-        return _push(p, pivots, _row(p, n, v, zip(outs[v], combo)))
-
+    chosen = {}
     every = (1 << n) - 1
     acyclic = {}  # untouched mask -> size of an acyclic set of D[U]
-
-    def dfs(v, rank, chosen, touched):
-        if rank >= best[0] or best[0] <= floor:
-            return
+    # one frame per vertex on the current path: [vertex, its coefficient
+    # patterns left, whether its row was pushed, rank and touched mask
+    # before it]
+    frames = []
+    v, rank, touched = 0, 0, 0  # the node to visit
+    while best_rank > floor:
         untouched = every & ~touched
-        if rank + untouched.bit_count() >= best[0]:
+        cut = rank >= best_rank
+        if not cut and rank + untouched.bit_count() >= best_rank:
             if untouched not in acyclic:
                 acyclic[untouched] = dg._mas_search(
                     out_rows, untouched, dg.DEFAULT_MAS_BUDGET
                 ).size
-            if rank + acyclic[untouched] >= best[0]:
-                return
-        if v == n:
-            best[0] = rank
-            best[1] = dict(chosen)
-            return
-        for combo in itertools.product(range(p), repeat=len(outs[v])):
+            cut = rank + acyclic[untouched] >= best_rank
+        if not cut:
+            if v == n:
+                best_rank, best = rank, dict(chosen)
+            else:
+                patterns = itertools.product(range(p), repeat=len(outs[v]))
+                frames.append([v, patterns, False, rank, touched])
+        # the next node: the next pattern of the deepest vertex with one
+        while frames:
+            frame = frames[-1]
+            v, patterns, pushed, rank, touched = frame
+            if pushed:
+                pivots.pop()
+            combo = next(patterns, None)
+            if combo is None:
+                for j in outs[v]:
+                    chosen.pop((v, j), None)
+                frames.pop()
+                continue
             grown = touched | (1 << v)
             for j, val in zip(outs[v], combo):
                 chosen[(v, j)] = val
                 if val:
                     grown |= 1 << j
-            if push(v, combo):
-                dfs(v + 1, rank + 1, chosen, grown)
-                pivots.pop()
-            else:
-                dfs(v + 1, rank, chosen, grown)
-        for j in outs[v]:
-            chosen.pop((v, j), None)
-
-    dfs(0, 0, {}, 0)
-    coeffs = best[1] if best[1] is not None else {}
-    return best[0], _matrix_from_coeffs(d, p, coeffs)
+            frame[2] = _push(p, pivots, _row(p, n, v, zip(outs[v], combo)))
+            v, rank, touched = v + 1, rank + frame[2], grown
+            break
+        else:
+            break
+    return best_rank, _matrix_from_coeffs(d, p, best or {})
 
 
 def linear_guessing_number(d, p, budget=DEFAULT_LINEAR_BUDGET, exhaustive=None):

@@ -44,14 +44,6 @@ def decode(code, n, s):
     return tuple(out)
 
 
-def add_codes(a, b, n, s):
-    """Coordinatewise sum mod s of two configuration codes."""
-    if s == 2:
-        return a ^ b
-    xa, xb = decode(a, n, s), decode(b, n, s)
-    return encode(tuple((u + v) % s for u, v in zip(xa, xb)), s)
-
-
 def coordinate_masks(n, s):
     """``E[j][a]``: the bitmask of the codes whose coordinate j equals a.
 

@@ -126,9 +126,9 @@ def to_guessing_digraph(instance):
                 f"edge {u} -> {v} joins a source directly to its own sink"
             )
         edges.add((mu, mv))
-    provenance = tuple(
+    provenance = tuple([
         (instance.sources[i], instance.sinks[i]) for i in range(n)
-    ) + tuple((z,) for z in instance.intermediates)
+    ] + [(z,) for z in instance.intermediates])
     return dg.Digraph(n + len(instance.intermediates), edges), provenance
 
 
@@ -156,9 +156,9 @@ def from_digraph(d, intermediates):
 
     edges = [(tail_name(u), head_name(v)) for u, v in d.edges()]
     return NetworkInstance(
-        sources=tuple(f"s{v}" for v in outside),
-        sinks=tuple(f"t{v}" for v in outside),
-        intermediates=tuple(f"m{v}" for v in inter),
+        sources=tuple([f"s{v}" for v in outside]),
+        sinks=tuple([f"t{v}" for v in outside]),
+        intermediates=tuple([f"m{v}" for v in inter]),
         edges=tuple(sorted(edges)),
     )
 
@@ -187,9 +187,9 @@ def bottleneck(n_pairs, m):
     """n sources all routed through a shared layer of m relays."""
     if n_pairs < 1 or m < 1:
         raise BadParams("bottleneck needs n_pairs >= 1 and m >= 1")
-    sources = tuple(f"s{i}" for i in range(n_pairs))
-    sinks = tuple(f"t{i}" for i in range(n_pairs))
-    mids = tuple(f"z{j}" for j in range(m))
+    sources = tuple([f"s{i}" for i in range(n_pairs)])
+    sinks = tuple([f"t{i}" for i in range(n_pairs)])
+    mids = tuple([f"z{j}" for j in range(m)])
     edges = [(sname, z) for sname in sources for z in mids]
     edges += [(z, tname) for z in mids for tname in sinks]
     return NetworkInstance(sources, sinks, mids, tuple(edges))

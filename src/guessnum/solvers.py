@@ -8,7 +8,6 @@ lexicographically smallest optima.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -56,19 +55,9 @@ class Protocol:
             idx = idx * self.s + symbols[j]
         return idx
 
-    def evaluate(self, code):
-        symbols = decode(code, self.n, self.s)
-        out = tuple(
-            self.tables[v][self.word_index(symbols, v)] for v in range(self.n)
-        )
-        return encode(out, self.s)
-
-    def fixes(self, code):
-        return self.evaluate(code) == code
-
 
 def _protocol_inputs(d):
-    return tuple(tuple(sorted(d.in_adj[v])) for v in range(d.n))
+    return tuple([tuple(sorted(d.in_adj[v])) for v in range(d.n)])
 
 
 def protocol_to_text(protocol):
@@ -107,7 +96,7 @@ def protocol_from_independent_set(d, s, configs):
                     f"configurations {writers[v][idx]} and {code} conflict at vertex {v}",
                     pair=(writers[v][idx], code),
                 )
-    tables = tuple(tuple(0 if e is None else e for e in row) for row in tables)
+    tables = tuple([tuple([0 if e is None else e for e in row]) for row in tables])
     return Protocol(n, s, inputs, tables)
 
 
@@ -162,53 +151,6 @@ def fixed_configurations(d, s, protocol, guard=DEFAULT_GUARD):
             guard=guard,
         )
     return tuple(sorted(_mask_to_set(_fixed_mask(protocol, coordinate_masks(d.n, s)))))
-
-
-def exhaustive_best_protocol(d, s, limit=10_000_000):
-    """Maximum fixed-configuration count over every protocol.
-
-    Independent brute-force oracle: per-vertex acceptance bitmasks over
-    all configurations, one per candidate local table, combined by AND.
-    Guarded by the product of per-vertex table-space sizes.
-    """
-    n = d.n
-    total = 1
-    for v in range(n):
-        total *= s ** (s ** d.in_degree(v))
-        if total > limit:
-            raise SizeGuard(
-                "protocol space exceeds the exhaustive-search limit",
-                needed=total,
-                guard=limit,
-            )
-    inputs = _protocol_inputs(d)
-    masks = coordinate_masks(n, s)
-    every_bit = (1 << s**n) - 1
-    per_vertex = []
-    for v in range(n):
-        words = _word_masks(masks, inputs[v], every_bit)
-        per_vertex.append([
-            (_table_fixes(words, masks[v], table), table)
-            for table in itertools.product(range(s), repeat=len(words))
-        ])
-
-    best = [0, None]
-
-    def dfs(v, acc, chosen):
-        if acc.bit_count() <= best[0]:
-            return
-        if v == n:
-            best[0] = acc.bit_count()
-            best[1] = tuple(chosen)
-            return
-        for mask, table in per_vertex[v]:
-            chosen.append(table)
-            dfs(v + 1, acc & mask, chosen)
-            chosen.pop()
-
-    dfs(0, every_bit, [])
-    protocol = Protocol(n, s, inputs, best[1]) if best[1] is not None else None
-    return best[0], protocol
 
 
 # -- maximum independent set -------------------------------------------
@@ -369,7 +311,7 @@ def _solve_components(d, s, guard):
         components.append((vertices, mis.alpha))
         part = protocol_from_independent_set(sub, s, mis.witness)
         for i, v in enumerate(vertices):
-            inputs[v] = tuple(vertices[u] for u in part.inputs[i])
+            inputs[v] = tuple([vertices[u] for u in part.inputs[i]])
             tables[v] = part.tables[i]
     value, integral = _log_value(alpha, s)
     protocol = Protocol(d.n, s, tuple(inputs), tuple(tables))
@@ -554,7 +496,7 @@ def information_defect(d, s, guard=DEFAULT_GUARD):
     classes = {}
     for x, c in enumerate(chrom.coloring):
         classes.setdefault(c, []).append(x)
-    partition = tuple(tuple(v) for _, v in sorted(classes.items()))
+    partition = tuple([tuple(v) for _, v in sorted(classes.items())])
     value, integral = _log_value(chrom.chi, s)
     return DefectResult(chrom.chi, value, integral, partition, chrom.exact)
 
@@ -641,7 +583,7 @@ def a_s_exact(n, d, s):
     if total > _LEXICODE_CAP:
         # repetition code: s words, pairwise distance n >= d; no rows
         # are built, since s^n-bit masks would not fit in memory
-        witness = tuple(encode((v,) * n, s) for v in range(s))
+        witness = tuple([encode((v,) * n, s) for v in range(s)])
     else:
         masks, rows = _distance_rows(n, d, s)
         code_mask = _lexicode(rows)

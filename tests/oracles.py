@@ -12,17 +12,21 @@ import math
 
 from guessnum import _search
 from guessnum.digraph import Digraph, MasResult, gf2_rank
-from guessnum.errors import BadParams
+from guessnum.errors import BadParams, SizeGuard
 from guessnum.gf_linear import GfMatrix
-from guessnum.guessing_graph import _mask_to_set, decode, encode
+from guessnum.guessing_graph import _mask_to_set, coordinate_masks, decode, encode
 from guessnum.solvers import (
     DEFAULT_CODE_SEARCH_GUARD,
     _LEXICODE_CAP,
     ChromaticResult,
     CodeSizeResult,
+    Protocol,
     _coset_coloring,
     _proper,
+    _protocol_inputs,
     _seed,
+    _table_fixes,
+    _word_masks,
 )
 
 
@@ -114,9 +118,77 @@ def brute_proper(d, s, colors):
     )
 
 
+def add_codes(a, b, n, s):
+    """Coordinatewise sum mod s of two configuration codes."""
+    if s == 2:
+        return a ^ b
+    xa, xb = decode(a, n, s), decode(b, n, s)
+    return encode(tuple((u + v) % s for u, v in zip(xa, xb)), s)
+
+
+def protocol_evaluate(protocol, code):
+    """The configuration every vertex's table guesses from ``code``."""
+    symbols = decode(code, protocol.n, protocol.s)
+    out = tuple(
+        protocol.tables[v][protocol.word_index(symbols, v)] for v in range(protocol.n)
+    )
+    return encode(out, protocol.s)
+
+
+def protocol_fixes(protocol, code):
+    return protocol_evaluate(protocol, code) == code
+
+
 def brute_fixed(d, s, protocol):
-    """Codes the protocol maps to themselves, one ``Protocol.fixes`` call each."""
-    return tuple(x for x in range(s**d.n) if protocol.fixes(x))
+    """Codes the protocol maps to themselves, one ``protocol_fixes`` call each."""
+    return tuple(x for x in range(s**d.n) if protocol_fixes(protocol, x))
+
+
+def exhaustive_best_protocol(d, s, limit=10_000_000):
+    """Maximum fixed-configuration count over every protocol.
+
+    Brute force over protocol space: per-vertex acceptance bitmasks over
+    all configurations, one per candidate local table, combined by AND.
+    Guarded by the product of per-vertex table-space sizes.
+    """
+    n = d.n
+    total = 1
+    for v in range(n):
+        total *= s ** (s ** d.in_degree(v))
+        if total > limit:
+            raise SizeGuard(
+                "protocol space exceeds the exhaustive-search limit",
+                needed=total,
+                guard=limit,
+            )
+    inputs = _protocol_inputs(d)
+    masks = coordinate_masks(n, s)
+    every_bit = (1 << s**n) - 1
+    per_vertex = []
+    for v in range(n):
+        words = _word_masks(masks, inputs[v], every_bit)
+        per_vertex.append([
+            (_table_fixes(words, masks[v], table), table)
+            for table in itertools.product(range(s), repeat=len(words))
+        ])
+
+    best = [0, None]
+
+    def dfs(v, acc, chosen):
+        if acc.bit_count() <= best[0]:
+            return
+        if v == n:
+            best[0] = acc.bit_count()
+            best[1] = tuple(chosen)
+            return
+        for mask, table in per_vertex[v]:
+            chosen.append(table)
+            dfs(v + 1, acc & mask, chosen)
+            chosen.pop()
+
+    dfs(0, every_bit, [])
+    protocol = Protocol(n, s, inputs, best[1]) if best[1] is not None else None
+    return best[0], protocol
 
 
 def brute_exterior_classes(d, s, vertices, candidates):
@@ -442,6 +514,17 @@ def full_support_matrix(d, p):
                 for i in range(d.n)
             ]
             for j in range(d.n)
+        ],
+        p,
+    )
+
+
+def identity_plus(d, p=2):
+    """I + A over GF(p) for the adjacency matrix A of d."""
+    return GfMatrix(
+        [
+            [(1 if i == j else 0) + (1 if j in d.out_adj[i] else 0) for j in range(d.n)]
+            for i in range(d.n)
         ],
         p,
     )

@@ -177,6 +177,21 @@ class TestExitCodes:
         code, _ = run(capsys, "mas", "does-not-exist.dg")
         assert code == 4
 
+    def test_directory_input_is_four(self, capsys, tmp_path):
+        code = cli.main(["guess", str(tmp_path), "-s", "2"])
+        err = capsys.readouterr().err.strip()
+        assert code == 4
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["guess", "netcode-solve"])
+    def test_undecodable_input_is_four(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe3\n")
+        code = cli.main([command, str(bad), "-s", "2"])
+        err = capsys.readouterr().err.strip()
+        assert code == 4
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_usage_error_is_two(self, files):
         with pytest.raises(SystemExit) as exc:
             cli.main(["guess"])  # missing digraph argument

@@ -1,7 +1,13 @@
+import contextlib
+import os
 import random
+import subprocess
+import sys
 
-from guessnum import _search
+import guessnum
+from guessnum import _search, cyclic
 from guessnum import digraph as dg
+from guessnum import gf_linear as gl
 
 from oracles import brute_chromatic, dsatur_backtrack, random_digraph, set_dsatur
 
@@ -102,30 +108,98 @@ def complement_rows(d):
     return rows
 
 
+def reference_graphs():
+    rng = random.Random(71)
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        rows = irregular_graph(rng, n) if rng.random() < 0.5 else \
+            random_graph(rng, n, rng.random())
+        yield rows, n
+
+
+# a star plus a triangle, and a path: degrees 1, 2, 2, 1, and two equal
+# middle keys
+TIES = [0b111110, 0b000001, 0b000001, 0b110001, 0b101001, 0b011001]
+PATH = [0b0010, 0b0101, 0b1010, 0b0100]
+
+
+def complement_graphs():
+    rng = random.Random(72)
+    for _ in range(100):
+        d = random_digraph(rng, rng.randint(1, 12), p=rng.random())
+        yield complement_rows(d), d.n
+    for d in (dg.clique(5), dg.cycle(6)):
+        yield complement_rows(d), d.n
+
+
 class TestGreedyDsatur:
     def test_same_colouring_as_the_reference(self):
-        rng = random.Random(71)
-        for _ in range(300):
-            n = rng.randint(0, 40)
-            rows = irregular_graph(rng, n) if rng.random() < 0.5 else \
-                random_graph(rng, n, rng.random())
+        for rows, n in reference_graphs():
             colors = _search.greedy_dsatur(rows, n)
             assert colors == set_dsatur(rows, n), rows
             assert proper(rows, colors)
 
     def test_irregular_degrees_and_ties(self):
-        rows = [0b111110, 0b000001, 0b000001, 0b110001, 0b101001, 0b011001]
-        assert _search.greedy_dsatur(rows, 6) == set_dsatur(rows, 6)
-        # a path: degrees 1, 2, 2, 1, and two equal middle keys
-        path = [0b0010, 0b0101, 0b1010, 0b0100]
-        assert _search.greedy_dsatur(path, 4) == set_dsatur(path, 4) == [1, 0, 1, 0]
+        assert _search.greedy_dsatur(TIES, 6) == set_dsatur(TIES, 6)
+        assert _search.greedy_dsatur(PATH, 4) == set_dsatur(PATH, 4) == [1, 0, 1, 0]
 
     def test_clique_partition_complements(self):
-        rng = random.Random(72)
-        for _ in range(100):
-            d = random_digraph(rng, rng.randint(1, 12), p=rng.random())
-            rows = complement_rows(d)
-            assert _search.greedy_dsatur(rows, d.n) == set_dsatur(rows, d.n)
-        for d in (dg.clique(5), dg.cycle(6)):
-            rows = complement_rows(d)
-            assert _search.greedy_dsatur(rows, d.n) == set_dsatur(rows, d.n)
+        for rows, n in complement_graphs():
+            assert _search.greedy_dsatur(rows, n) == set_dsatur(rows, n)
+
+    def test_is_the_first_descent_of_the_colouring_search(self):
+        # with a colour for every vertex the search never backtracks, so
+        # its first n + 1 nodes colour every vertex as greedy DSATUR does
+        graphs = [*reference_graphs(), (TIES, 6), (PATH, 4), *complement_graphs()]
+        for rows, n in graphs:
+            assert _search.greedy_dsatur(rows, n) == \
+                _search.find_k_coloring(rows, n, n, node_budget=n + 1)[0], rows
+
+
+@contextlib.contextmanager
+def shallow_stack(headroom=100):
+    """Lower the recursion limit to ``headroom`` frames above the caller."""
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class TestSearchDepth:
+    """The searches run as loops: none needs a frame per vertex."""
+
+    def test_import_keeps_the_recursion_limit(self):
+        src = os.path.dirname(os.path.dirname(guessnum.__file__))
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        code = ("import sys; before = sys.getrecursionlimit(); import guessnum; "
+                "print(before, sys.getrecursionlimit())")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert out[0] == out[1]
+
+    def test_bitmask_searches_on_300_vertices(self):
+        rows = [0] * 300
+        every = (1 << 300) - 1
+        with shallow_stack():
+            mis = _search.max_independent_set(rows, 300, lambda c: c.bit_count())
+            colouring = _search.find_k_coloring(rows, 300, 1)
+        assert mis == (300, every, True)
+        assert colouring == ([0] * 300, True)
+
+    def test_acyclic_set_on_300_vertices(self):
+        with shallow_stack():
+            mas = dg.mas_exact(dg.Digraph(300))
+        assert (mas.size, mas.exact) == (300, True)
+
+    def test_exhaustive_linear_search_on_300_vertices(self):
+        circulant = cyclic.digraph_from_polynomial(cyclic.parse_poly("x5+x2+1"), 12)
+        padded = dg.Digraph(300, circulant.edges())
+        with shallow_stack():
+            res = gl.linear_guessing_number(padded, 2)
+        assert (res.lower, res.exact, res.provenance) == (4, True, ("exhaustive", "exhaustive"))

@@ -11,6 +11,7 @@ from guessnum import solvers
 from guessnum.errors import BadParams, NotIndependent, SizeGuard
 
 from oracles import (
+    add_codes,
     all_digraphs,
     brute_alpha,
     brute_chromatic,
@@ -23,8 +24,10 @@ from oracles import (
     candidate_loop_chromatic,
     cartesian_adjacent,
     co_normal_adjacent,
+    exhaustive_best_protocol,
     gf4_evaluation_code,
     lexicographic_adjacent,
+    protocol_fixes,
     random_digraph,
     scan_coset_coloring,
 )
@@ -573,7 +576,7 @@ def _span(gens, n, s):
     while frontier:
         x = frontier.pop()
         for g in gens:
-            y = gg.add_codes(x, g, n, s)
+            y = add_codes(x, g, n, s)
             if y not in group:
                 group.add(y)
                 frontier.append(y)
@@ -693,7 +696,7 @@ class TestProtocols:
             s = rng.choice([2, 3])
             x = rng.randrange(s**d.n)
             proto = solvers.protocol_from_independent_set(d, s, [x])
-            assert proto.fixes(x)
+            assert protocol_fixes(proto, x)
 
     def test_conflicting_pair_reported(self):
         d = dg.clique(3)
@@ -769,7 +772,7 @@ class TestProtocols:
 
 class TestExhaustiveOracle:
     def test_clique_matches_solver(self):
-        best, proto = solvers.exhaustive_best_protocol(dg.clique(3), 2)
+        best, proto = exhaustive_best_protocol(dg.clique(3), 2)
         assert best == 4
         assert len(solvers.fixed_configurations(dg.clique(3), 2, proto)) == 4
 
@@ -777,7 +780,7 @@ class TestExhaustiveOracle:
         rng = random.Random(28)
         for _ in range(10):
             d = random_digraph(rng, 3)
-            best, _ = solvers.exhaustive_best_protocol(d, 2)
+            best, _ = exhaustive_best_protocol(d, 2)
             assert best == solvers.max_independent_set(handle(d, 2)).alpha
 
     def test_sparse_four_vertex_digraphs_match_mis(self):
@@ -790,7 +793,7 @@ class TestExhaustiveOracle:
                 space *= 2 ** (2 ** d.in_degree(v))
             if space > 10**6:
                 continue
-            best, _ = solvers.exhaustive_best_protocol(d, 2)
+            best, _ = exhaustive_best_protocol(d, 2)
             assert best == solvers.max_independent_set(handle(d, 2)).alpha
             checked += 1
 
@@ -798,12 +801,12 @@ class TestExhaustiveOracle:
         rng = random.Random(31)
         for s, n in [(2, 1), (2, 2), (2, 3), (2, 3), (3, 2), (3, 2), (2, 4)]:
             d = random_digraph(rng, n, p=0.3)
-            best, proto = solvers.exhaustive_best_protocol(d, s)
+            best, proto = exhaustive_best_protocol(d, s)
             assert len(brute_fixed(d, s, proto)) == best
 
     def test_guard(self):
         with pytest.raises(SizeGuard):
-            solvers.exhaustive_best_protocol(dg.clique(4), 3, limit=1000)
+            exhaustive_best_protocol(dg.clique(4), 3, limit=1000)
 
 
 class TestDifferentialSweep:
@@ -821,7 +824,7 @@ class TestDifferentialSweep:
         for v in range(d.n):
             space *= s ** (s ** d.in_degree(v))
         if space <= 10**5:
-            assert solvers.exhaustive_best_protocol(d, s)[0] == mis.alpha
+            assert exhaustive_best_protocol(d, s)[0] == mis.alpha
         if total <= 12:
             assert defect.chi == brute_chromatic(h.rows, total)
         assert mis.alpha * defect.chi >= total
