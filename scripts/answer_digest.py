@@ -45,6 +45,13 @@ exact flag, and the configurations its protocol fixes.  The protocol's
 tables are left out, so that a change in what each vertex reads shows
 only where it changes the fixed set.
 
+Last, the script digests the paper's cyclic-code instances over GF(2):
+each generator's circulant digraph (x^4 + x + 1 at n = 15 through
+x^7 + x + 1 at n = 127) split at its maximum acyclic set, and the
+``SolvabilityResult`` of ``solvable`` under the default guard.  A line
+reads ``SizeGuard`` where the package raises it, so a diff shows which
+instances a change newly solves.
+
 To check that a change leaves every answer as it was, run it on two
 checkouts and compare the output::
 
@@ -82,6 +89,13 @@ MATRIX_JOBS = 50  # per field
 UNIONS = ((2, 6), (3, 3))  # (alphabet, largest vertex count of each part)
 UNION_SEED = 17
 UNION_JOBS = 30  # per alphabet, alternately unidirectional and disjoint
+PAPER_CODES = (  # (generator, n): the paper's cyclic-code instances
+    ("x^4+x+1", 15),
+    ("x^11+x^9+x^7+x^6+x^5+x+1", 23),
+    ("x^5+x^2+1", 31),
+    ("x^6+x+1", 63),
+    ("x^7+x+1", 127),
+)
 
 
 class Library:
@@ -89,7 +103,7 @@ class Library:
 
     def __init__(self):
         for name in ("digraph", "guessing_graph", "_search", "solvers",
-                     "gf_linear", "cyclic", "netcode"):
+                     "gf_linear", "cyclic", "netcode", "errors"):
             setattr(self, name, importlib.import_module(f"guessnum.{name}"))
 
 
@@ -199,6 +213,23 @@ def union_summary(answer):
             f"fixed={len(fixed)}")
 
 
+def paper_line(lib, text, n):
+    """The summary and hash of ``solvable`` on a split cyclic-code
+    instance, or ``SizeGuard`` when the package raises it."""
+    d = lib.cyclic.digraph_from_polynomial(lib.cyclic.parse_poly(text), n)
+    instance = lib.netcode.from_digraph(d, lib.digraph.mas_exact(d).witness)
+    label = f"{text}-n{n}-pairs{instance.n_pairs}"
+    try:
+        res = lib.netcode.solvable(instance, 2)
+    except lib.errors.SizeGuard:
+        return f"{label} SizeGuard"
+    return f"{label} {line(res, paper_summary)}"
+
+
+def paper_summary(res):
+    return f"solvable={res.solvable} alpha={res.alpha} defect={res.defect_value}"
+
+
 def seeded_matrices(lib, seed, fields, count):
     """Seeded random matrices: ``count`` per field, 1 to 9 rows and columns."""
     rng = random.Random(seed)
@@ -264,6 +295,8 @@ def main(argv=None):
         answer = union_answer(lib, d, s)
         label = f"{kind}-s{s}-n{d.n}-e{len(d.edges())}"
         print(f"union_guess s{s} {index:4d} {label} {line(answer, union_summary)}")
+    for index, (text, n) in enumerate(PAPER_CODES):
+        print(f"paper_netcode s2 {index:4d} {paper_line(lib, text, n)}")
 
 
 if __name__ == "__main__":

@@ -28,13 +28,14 @@ import itertools
 from dataclasses import dataclass
 
 from . import digraph as dg
-from . import solvers
+from . import gf_linear, solvers
 from .errors import (
     BadParams,
     InvalidInstance,
     LoopEdge,
     NotAcyclic,
     SelfDemandLoop,
+    SizeGuard,
 )
 from .guessing_graph import DEFAULT_GUARD
 
@@ -244,65 +245,165 @@ def _certificate_from_protocol(instance, digraph, protocol):
     return Certificate(protocol.s, tuple(functions))
 
 
+def _delivers(protocol, pairs, relays, words):
+    """True iff the protocol decodes every source word in ``words``.
+
+    The ``pairs`` carry the word; the ``relays`` are evaluated in the
+    listed order; each pair's table must then return its own symbol.
+    """
+    values = [0] * protocol.n
+    for source_word in words:
+        for i, x in zip(pairs, source_word):
+            values[i] = x
+        for v in relays:
+            values[v] = protocol.tables[v][protocol.word_index(values, v)]
+        for i, x in zip(pairs, source_word):
+            if protocol.tables[i][protocol.word_index(values, i)] != x:
+                return False
+    return True
+
+
 def _simulate(instance, digraph, protocol, s):
-    """Exhaustively check a certificate delivers every demand.
+    """Exhaustively check a nonlinear certificate delivers every demand.
 
     A node's value depends only on the sources its tables reach back to,
     so the nodes are grouped by the components of the reads relation
-    (each a subset of a strong component for a protocol from
-    :func:`solvers.guessing_number`) and each group is checked on the
-    s^(its pairs) words of its own sources.  ``None`` when some group
-    alone has more than 2^16 such words.
+    (:func:`solvers._reading_groups`; each a subset of a strong component
+    for a protocol from :func:`solvers.guessing_number`) and each group
+    is checked on the s^(its pairs) words of its own sources.  ``None``
+    when some group alone has more than 2^16 such words.  Linear
+    certificates are checked by :func:`_delivers_linearly` instead, at
+    any size.
     """
     n = instance.n_pairs
-    group = list(range(digraph.n))  # union-find over the reads relation
-
-    def root(v):
-        while group[v] != v:
-            group[v] = group[group[v]]
-            v = group[v]
-        return v
-
-    for v, inputs in enumerate(protocol.inputs):
-        for u in inputs:
-            group[root(u)] = root(v)
+    roots = solvers._reading_groups(protocol)
     groups = {}
-    for v in dg.topological_order(_erase_pair_cycles(digraph, n)):
-        groups.setdefault(root(v), []).append(v)
+    for v in [*range(n), *_relay_order(digraph, n)]:
+        groups.setdefault(roots[v], []).append(v)
     verified = True
-    values = [0] * digraph.n
     for members in groups.values():
         pairs = [v for v in members if v < n]
         relays = [v for v in members if v >= n]
         if s ** len(pairs) > _SIMULATE_GUARD:
             verified = None
             continue
-        for source_word in itertools.product(range(s), repeat=len(pairs)):
-            for i, x in zip(pairs, source_word):
-                values[i] = x
-            for v in relays:
-                values[v] = protocol.tables[v][protocol.word_index(values, v)]
-            for i, x in zip(pairs, source_word):
-                if protocol.tables[i][protocol.word_index(values, i)] != x:
-                    return False
+        words = itertools.product(range(s), repeat=len(pairs))
+        if not _delivers(protocol, pairs, relays, words):
+            return False
     return verified
 
 
-def _erase_pair_cycles(digraph, n):
-    # Evaluation order for the merged digraph: sources are inputs, so
-    # edges into merged pair vertices do not constrain the order.
-    edges = [(u, v) for u, v in digraph.edges() if v >= n]
-    return dg.Digraph(digraph.n, edges)
+def _relay_order(digraph, n):
+    """The relays (vertices n on), each after the relays it reads.
+
+    Sources are inputs, so edges into merged pair vertices do not
+    constrain the order, and the relays induce an acyclic subgraph.
+    """
+    waiting = [0] * digraph.n
+    for v in range(n, digraph.n):
+        waiting[v] = sum(u >= n for u in digraph.in_adj[v])
+    ready = [v for v in range(n, digraph.n) if not waiting[v]]
+    order = []
+    while ready:
+        v = ready.pop()
+        order.append(v)
+        for w in digraph.out_adj[v]:
+            if w >= n:
+                waiting[w] -= 1
+                if not waiting[w]:
+                    ready.append(w)
+    return order
+
+
+def _linear_table(coefficients, s):
+    """Table of x -> sum of coefficients[j] * x_j mod s, built one input
+    at a time, the first input least significant."""
+    table = [0]
+    for c in coefficients:
+        table = [(t + c * a) % s for a in range(s) for t in table]
+    return tuple(table)
+
+
+def _linear_protocol(digraph, witness, guard):
+    """The strategy x_v = sum of -A[u][v] * x_u of a witness matrix A, as
+    tables over every in-neighbour (SizeGuard beyond ``guard`` entries)."""
+    s = witness.p
+    inputs = solvers._protocol_inputs(digraph)
+    widest = s ** max(map(len, inputs), default=0)
+    if widest > guard:
+        raise SizeGuard(f"a linear table needs {widest} entries (> guard {guard})",
+                        needed=widest, guard=guard)
+    tables = tuple([
+        _linear_table([-witness.entries[u][v] % s for u in ins], s)
+        for v, ins in enumerate(inputs)
+    ])
+    return solvers.Protocol(digraph.n, s, inputs, tables)
+
+
+def _delivers_linearly(instance, digraph, protocol):
+    """Check a linear certificate delivers every demand, algebraically.
+
+    Each table must be the :func:`_linear_table` of its own entries at
+    the unit words (so it maps the zero word to 0).  Then the map from
+    source words to decoded words is linear, and running the pairs' unit
+    vectors through :func:`_delivers` proves it on all s^pairs words.
+    """
+    s = protocol.s
+    for inputs, table in zip(protocol.inputs, protocol.tables):
+        if table != _linear_table([table[s**j] for j in range(len(inputs))], s):
+            return False
+    n = instance.n_pairs
+    relays = _relay_order(digraph, n)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    return _delivers(protocol, range(n), relays, units)
+
+
+def _linear_solution(instance, merged, witness, guard):
+    """The solvable result certified by a witness whose fixed space has
+    the pair count as its dimension.
+
+    alpha is s^pairs.  The defect is s^m for m intermediates: their s^m
+    words form a clique, and the cosets of the fixed space colour the
+    configuration graph with s^(n - pairs) = s^m colours.
+    """
+    s = witness.p
+    n = instance.n_pairs
+    protocol = _linear_protocol(merged, witness, guard)
+    if not _delivers_linearly(instance, merged, protocol):
+        raise AssertionError("linear certificate fails to deliver")
+    return SolvabilityResult(
+        solvable=True,
+        n_pairs=n,
+        alpha=s**n,
+        g_value=float(n),
+        certificate=_certificate_from_protocol(instance, merged, protocol),
+        binding_bound=None,
+        defect_value=s ** len(instance.intermediates),
+        defect_matches_intermediates=True,
+        reason=None,
+    )
 
 
 def solvable(instance, s, guard=DEFAULT_GUARD):
     """Decide solvability over [s]; certificate or binding bound attached.
 
     Solvable means every sink can decode its own source's message; this
-    holds exactly when the merged digraph fixes s^n configurations.  A
-    positive answer carries per-node coding functions re-verified by
-    exhaustive simulation, one group of nodes at a time (when no group
-    has more than 2^16 source words); a negative one carries the bound
+    holds exactly when the merged digraph fixes s^n configurations.
+
+    At prime s, linear algebra decides first: when
+    :func:`gf_linear.linear_guessing_number` finds a strategy whose fixed
+    space has the pair count as its dimension, the instance is solvable.
+    Its certificate is that strategy's linear tables, checked
+    algebraically (:func:`_delivers_linearly`), and the defect is s^m
+    (:func:`_linear_solution`).  No configuration graph is built, so this
+    holds at any n.  The attempt is skipped when an acyclic set larger
+    than the intermediates shows n - mas below the pair count.
+
+    Otherwise (composite s, a proven bound below the pair count, or a
+    gap where nonlinear strategies may do better) the configuration
+    graph decides, within ``guard``.  A positive answer carries per-node
+    coding functions re-verified by exhaustive simulation, one group of
+    nodes at a time (:func:`_simulate`); a negative one carries the bound
     that caps the guessing number below n.  The defect check (minimum
     public information equal to the intermediate count) is reported
     alongside when computable.  A strongly connected merged digraph is
@@ -312,20 +413,20 @@ def solvable(instance, s, guard=DEFAULT_GUARD):
     merged, _ = to_guessing_digraph(instance)
     n = instance.n_pairs
     m = len(instance.intermediates)
+    # g <= (vertex count) - mas, so an acyclic set larger than the
+    # intermediates caps g below the pair count: no linear attempt
+    acyclic = dg._greedy_acyclic_set(merged.in_rows(), (1 << merged.n) - 1)
+    if len(acyclic) <= m and gf_linear._is_prime(s):
+        linear = gf_linear.linear_guessing_number(merged, s)
+        if linear.lower == n:
+            return _linear_solution(instance, merged, linear.witness, guard)
     result, parts = solvers._solve_components(merged, s, guard)
     if result.alpha > s**n:
         raise AssertionError("guessing number exceeded the pair count")
-    reason = None
-    adj = {}
-    for u, v in instance.edges:
-        adj.setdefault(u, set()).add(v)
-    for i in range(n):
-        if not _reaches(adj, instance.sources[i], instance.sinks[i]):
-            reason = f"sink {instance.sinks[i]} is unreachable from {instance.sources[i]}"
-            break
     is_solvable = result.alpha == s**n
     certificate = None
     binding = None
+    reason = None
     if is_solvable:
         certificate = _certificate_from_protocol(instance, merged, result.protocol)
         verified = _simulate(instance, merged, result.protocol, s)
@@ -339,7 +440,14 @@ def solvable(instance, s, guard=DEFAULT_GUARD):
         ]
         value, name = min(candidates, default=(float(merged.n), "trivial"))
         binding = (name, value)
-        if reason is None:
+        adj = {}
+        for u, v in instance.edges:
+            adj.setdefault(u, set()).add(v)
+        for i in range(n):
+            if not _reaches(adj, instance.sources[i], instance.sinks[i]):
+                reason = f"sink {instance.sinks[i]} is unreachable from {instance.sources[i]}"
+                break
+        else:
             reason = f"guessing number {result.value:.3f} < {n}"
     defect_value = None
     defect_matches = None

@@ -129,11 +129,51 @@ def _fixed_mask(protocol, masks):
     return fixed
 
 
+def _reading_groups(protocol):
+    """Each vertex's group root: the components of the relation "v reads
+    u" (u among ``protocol.inputs[v]``), by union-find.  A vertex's
+    value under the protocol depends only on the vertices of its group.
+    """
+    group = list(range(protocol.n))
+
+    def root(v):
+        while group[v] != v:
+            group[v] = group[group[v]]
+            v = group[v]
+        return v
+
+    for v, inputs in enumerate(protocol.inputs):
+        for u in inputs:
+            group[root(u)] = root(v)
+    return [root(v) for v in range(protocol.n)]
+
+
+def _fixed_codes(protocol, guard):
+    """The set of codes the protocol fixes (:func:`_fixed_mask`), over
+    all s^n configurations (guarded)."""
+    total = protocol.s**protocol.n
+    if total > guard:
+        raise SizeGuard(
+            f"fixed-point enumeration needs {total} configurations",
+            needed=total,
+            guard=guard,
+        )
+    return _mask_to_set(_fixed_mask(protocol, coordinate_masks(protocol.n, protocol.s)))
+
+
 def fixed_configurations(d, s, protocol, guard=DEFAULT_GUARD):
-    """All configuration codes mapped to themselves by the protocol
-    (:func:`_fixed_mask`), in ascending order; BadParams unless each
-    vertex reads a sorted subset of its in-neighbours through a table of
-    s^len(inputs) symbols in [0, s)."""
+    """All configuration codes mapped to themselves by the protocol, in
+    ascending order; BadParams unless each vertex reads a sorted subset
+    of its in-neighbours through a table of s^len(inputs) symbols in
+    [0, s).
+
+    Within ``guard``, every configuration is checked at once
+    (:func:`_fixed_codes`).  Beyond it, the fixed set is the product of
+    the fixed sets of the protocol's :func:`_reading_groups`, so each
+    group is guarded and enumerated on its own configurations and
+    placed back at the group's coordinates; the guard also caps the
+    product's size.
+    """
     if protocol.n != d.n or protocol.s != s:
         raise BadParams("protocol shape does not match digraph/alphabet")
     if len(protocol.inputs) != d.n or len(protocol.tables) != d.n:
@@ -143,14 +183,31 @@ def fixed_configurations(d, s, protocol, guard=DEFAULT_GUARD):
             raise BadParams(f"vertex {v} must read a sorted subset of its in-neighbours")
         if len(table) != s ** len(ins) or min(table) < 0 or max(table) >= s:
             raise BadParams(f"table of vertex {v} needs s^{len(ins)} symbols in [0, {s})")
-    total = s**d.n
-    if total > guard:
-        raise SizeGuard(
-            f"fixed-point enumeration needs {total} configurations",
-            needed=total,
-            guard=guard,
+    if s**d.n <= guard:
+        return tuple(sorted(_fixed_codes(protocol, guard)))
+    groups = {}
+    for v, r in enumerate(_reading_groups(protocol)):
+        groups.setdefault(r, []).append(v)
+    parts = []
+    for members in groups.values():
+        position = {v: j for j, v in enumerate(members)}
+        part = Protocol(
+            len(members), s,
+            tuple([tuple([position[u] for u in protocol.inputs[v]]) for v in members]),
+            tuple([protocol.tables[v] for v in members]),
         )
-    return tuple(sorted(_mask_to_set(_fixed_mask(protocol, coordinate_masks(d.n, s)))))
+        parts.append([
+            sum(x * s**v for x, v in zip(decode(code, len(members), s), members))
+            for code in _fixed_codes(part, guard)
+        ])
+    count = math.prod(map(len, parts))
+    if count > guard:
+        raise SizeGuard(f"listing {count} fixed configurations (> guard {guard})",
+                        needed=count, guard=guard)
+    fixed = [0]
+    for placed in parts:
+        fixed = [a + b for a in fixed for b in placed]
+    return tuple(sorted(fixed))
 
 
 # -- maximum independent set -------------------------------------------

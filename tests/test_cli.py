@@ -1,6 +1,6 @@
 import pytest
 
-from guessnum import cli, digraph as dg, netcode
+from guessnum import cli, cyclic, digraph as dg, netcode
 
 
 @pytest.fixture()
@@ -60,9 +60,15 @@ class TestCommands:
         assert f"protocol_path={proto}" in out
         text = open(proto).read().splitlines()
         assert text[:3] == ["n 34 s 2", "0: 1 | 01", "1: 0 | 01"]
-        # listing the 2^17 fixed codes needs all 2^34 configurations
+        # the 2^17 fixed codes are listed one 2-cycle at a time, not
+        # over all 2^34 configurations: both ends of each cycle agree
         code, _ = run(capsys, "guess", pairs, "-s", "2", "--witness", proto + ".w")
-        assert code == 3
+        assert code == 0
+        codes = [int(line) for line in open(proto + ".w").read().split()]
+        assert len(codes) == 2**17 and codes[:4] == [0, 3, 12, 15]
+        even = sum(1 << u for u in range(0, 34, 2))
+        assert codes == sorted(codes)
+        assert all((c ^ c >> 1) & even == 0 for c in codes)
 
     def test_linear_pipeline_matches_generated_digraph(self, files, capsys):
         p7 = str(files["tmp"] / "p7.dg")
@@ -122,6 +128,16 @@ class TestCommands:
         assert code == 0
         assert "solvable=true" in out
         assert "z sends" in out
+
+    def test_netcode_solve_paper_instance_beyond_the_guard(self, files, capsys):
+        # x^11+x^9+x^7+x^6+x^5+x+1 at n = 23, split at a maximum acyclic
+        # set: 2^23 configurations, decided by linear algebra
+        d = cyclic.digraph_from_polynomial(cyclic.parse_poly("x^11+x^9+x^7+x^6+x^5+x+1"), 23)
+        path = str(files["tmp"] / "golay.nc")
+        netcode.write_instance(netcode.from_digraph(d, dg.mas_exact(d).witness), path)
+        code, out = run(capsys, "netcode-solve", path, "-s", "2", "--machine")
+        assert code == 0
+        assert out.splitlines() == ["solvable=true", "pairs=11", "g=11.000", "defect_matches=true"]
 
     def test_netcode_solve_bottleneck(self, files, capsys):
         code, out = run(capsys, "netcode-solve", files["bottleneck"], "-s", "2")

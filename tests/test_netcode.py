@@ -4,12 +4,18 @@ import random
 
 import pytest
 
+from guessnum import cyclic, gf_linear, netcode, solvers
 from guessnum import digraph as dg
 from guessnum import guessing_graph as gg
-from guessnum import netcode, solvers
-from guessnum.errors import InvalidInstance, LoopEdge, NotAcyclic, SelfDemandLoop
+from guessnum.errors import (
+    InvalidInstance,
+    LoopEdge,
+    NotAcyclic,
+    SelfDemandLoop,
+    SizeGuard,
+)
 
-from oracles import random_digraph, simulate_instance
+from oracles import all_digraphs, random_digraph, simulate_instance
 
 
 def relabel(d, mapping):
@@ -304,6 +310,170 @@ class TestOneConfigurationGraph:
         inst = netcode.butterfly()
         merged, _ = netcode.to_guessing_digraph(inst)
         assert len(dg.strong_components(merged).components) == 1
+        # a composite alphabet takes the configuration graph path
+        res = netcode.solvable(inst, 4)
+        assert res.solvable and res.defect_value == 4
+        assert counts == {"rows": 1, "mas": 1, "seed": 1}
+        # a prime one is decided by linear algebra, with no graph at all
+        counts.update(rows=0, mas=0, seed=0)
         res = netcode.solvable(inst, 2)
         assert res.solvable and res.defect_value == 2
-        assert counts == {"rows": 1, "mas": 1, "seed": 1}
+        assert counts == {"rows": 0, "mas": 1, "seed": 0}
+
+
+def digraphs_up_to_isomorphism(n):
+    """One digraph on n vertices from each isomorphism class: the splits
+    of isomorphic digraphs are the same instances up to renaming."""
+    perms = list(itertools.permutations(range(n)))
+    seen = set()
+    for d in all_digraphs(n):
+        forms = [tuple(sorted((p[u], p[v]) for u, v in d.edges())) for p in perms]
+        if min(forms) not in seen:
+            seen.update(forms)
+            yield d
+
+
+def every_split(d):
+    """Every instance ``from_digraph`` gives for d: one per acyclic set."""
+    for size in range(d.n + 1):
+        for inter in itertools.combinations(range(d.n), size):
+            if dg.is_acyclic(dg.induced_subdigraph(d, inter)[0]):
+                yield netcode.from_digraph(d, inter)
+
+
+def graph_path(inst, s):
+    """Verdict, alpha, g, defect and defect match from the configuration
+    graph alone: the maximum independent sets and the colouring."""
+    merged, _ = netcode.to_guessing_digraph(inst)
+    result, parts = solvers._solve_components(merged, s, gg.DEFAULT_GUARD)
+    if len(parts) == 1:
+        chi = solvers._chromatic_from(parts[0][1], parts[0][2]).chi
+    else:
+        chi = solvers.information_defect(merged, s).chi
+    solvable = result.alpha == s**inst.n_pairs
+    return solvable, result.alpha, result.value, chi, chi == s ** len(inst.intermediates)
+
+
+# the two seed-2 netcode_solve gap jobs, merged: pairs 0..2, relays 3 and 4
+GAP_DIGRAPHS = (
+    [(0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 0), (2, 4), (3, 1), (3, 2),
+     (3, 4), (4, 0), (4, 1), (4, 2)],
+    [(0, 2), (0, 3), (1, 0), (1, 2), (1, 3), (1, 4), (2, 0), (2, 3), (2, 4),
+     (3, 0), (3, 1), (4, 0), (4, 1), (4, 2)],
+)
+
+
+class TestLinearFirst:
+    def test_linear_path_matches_the_configuration_graph(self, monkeypatch):
+        fallbacks = []
+        solve_components = solvers._solve_components
+
+        def counting(*args):
+            fallbacks.append(args[0])
+            return solve_components(*args)
+
+        monkeypatch.setattr(solvers, "_solve_components", counting)
+        linear = total = 0
+        for n in range(1, 5):
+            for d in digraphs_up_to_isomorphism(n):
+                for inst in every_split(d):
+                    for s in (2, 3):
+                        before = len(fallbacks)
+                        res = netcode.solvable(inst, s)
+                        linear += len(fallbacks) == before
+                        total += 1
+                        got = (res.solvable, res.alpha, res.g_value,
+                               res.defect_value, res.defect_matches_intermediates)
+                        assert got == graph_path(inst, s), (d.edges(), inst, s)
+                        if res.solvable:
+                            assert res.reason is None and res.binding_bound is None
+        assert total > 5000
+        assert linear > 500 and total - linear > 500
+
+    def test_gap_jobs_stay_on_the_configuration_graph(self):
+        for edges in GAP_DIGRAPHS:
+            merged = dg.Digraph(5, edges)
+            inst = netcode.from_digraph(merged, [3, 4])
+            assert netcode.to_guessing_digraph(inst)[0] == merged
+            lin = gf_linear.linear_guessing_number(merged, 2)
+            assert (lin.lower, lin.upper, lin.exact) == (2, 2, True)
+            assert dg.mas_exact(merged).size == 2  # n - mas is the pair count
+            res = netcode.solvable(inst, 2)
+            assert not res.solvable and res.alpha == 5  # 5 > 2^2: nonlinear wins
+            got = (res.solvable, res.alpha, res.g_value,
+                   res.defect_value, res.defect_matches_intermediates)
+            assert got == graph_path(inst, 2)
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_flipping_any_linear_table_entry_fails_the_check(self, s):
+        instances = [netcode.butterfly(), netcode.bottleneck(2, 2)]
+        instances += random_splits(random.Random(72), s, 12)
+        checked = caught = 0
+        for k, inst in enumerate(instances):
+            merged, _ = netcode.to_guessing_digraph(inst)
+            lin = gf_linear.linear_guessing_number(merged, s)
+            if lin.lower < inst.n_pairs:
+                continue
+            protocol = netcode._linear_protocol(merged, lin.witness, gg.DEFAULT_GUARD)
+            assert netcode._delivers_linearly(inst, merged, protocol)
+            for v, table in enumerate(protocol.tables):
+                for w, x in itertools.product(range(len(table)), range(s)):
+                    if x == table[w]:
+                        continue
+                    tables = list(protocol.tables)
+                    tables[v] = table[:w] + (x,) + table[w + 1:]
+                    broken = dataclasses.replace(protocol, tables=tuple(tables))
+                    checked += 1
+                    if not netcode._delivers_linearly(inst, merged, broken):
+                        caught += 1
+                        continue
+                    # a flip passes only where it leaves a linear table that
+                    # no sink depends on: the certificate still delivers
+                    assert k >= 2  # on the butterfly and the bottleneck all matter
+                    certificate = netcode._certificate_from_protocol(inst, merged, broken)
+                    functions = {name: (inputs, table)
+                                 for name, inputs, table in certificate.functions}
+                    for word in itertools.product(range(s), repeat=inst.n_pairs):
+                        assert simulate_instance(inst, functions, s, word) == word
+        assert checked > 100 and caught > 0.9 * checked
+
+
+    def test_linear_tables_are_read_first_input_least_significant(self):
+        # x_v = 2 x_a + x_b over GF(3), inputs (a, b): index a + 3 b
+        assert netcode._linear_table([2, 1], 3) == (0, 2, 1, 1, 0, 2, 2, 1, 0)
+
+    def test_linear_tables_keep_a_size_guard(self):
+        merged, _ = netcode.to_guessing_digraph(netcode.bottleneck(2, 3))
+        witness = gf_linear.linear_guessing_number(merged, 2).witness
+        with pytest.raises(SizeGuard):
+            netcode._linear_protocol(merged, witness, 4)  # in-degree 3: 8 entries
+        with pytest.raises(SizeGuard):
+            netcode.solvable(netcode.bottleneck(2, 3), 2, guard=4)
+
+
+PAPER_CODES = (  # (generator, n): the paper's cyclic-code instances
+    ("x^4+x+1", 15),
+    ("x^11+x^9+x^7+x^6+x^5+x+1", 23),
+    ("x^5+x^2+1", 31),
+    ("x^6+x+1", 63),
+    ("x^7+x+1", 127),
+)
+
+
+class TestPaperInstances:
+    @pytest.mark.parametrize("text,n", PAPER_CODES)
+    def test_solvable_beyond_the_configuration_guard(self, text, n):
+        d = cyclic.digraph_from_polynomial(cyclic.parse_poly(text), n)
+        inst = netcode.from_digraph(d, dg.mas_exact(d).witness)
+        assert inst.n_pairs == cyclic.parse_poly(text).degree
+        m = len(inst.intermediates)
+        assert 2**n > gg.DEFAULT_GUARD or n == 15  # all but n = 15 are beyond it
+        res = netcode.solvable(inst, 2)
+        assert res.solvable and res.alpha == 2**inst.n_pairs
+        assert res.g_value == inst.n_pairs
+        assert res.defect_value == 2**m and res.defect_matches_intermediates
+        functions = {name: (inputs, table) for name, inputs, table in res.certificate.functions}
+        rng = random.Random(n)
+        for _ in range(16):
+            word = tuple(rng.randrange(2) for _ in range(inst.n_pairs))
+            assert simulate_instance(inst, functions, 2, word) == word

@@ -143,6 +143,9 @@ class TestGuessingNumber:
         assert res.alpha == 4
         assert res.protocol.inputs[22] == ()
         assert len(res.protocol.tables[22]) == 1
+        # each ring and the hub are listed on their own, not over 2^23 codes
+        ring = 2**11 - 1
+        assert solvers.fixed_configurations(d, 2, res.protocol) == (0, ring, ring << 11, 2**22 - 1)
 
     def test_component_protocols_match_the_whole_graph_search(self):
         cases = [(d, s) for s in (2, 3) for n in range(4) for d in all_digraphs(n)]
@@ -768,6 +771,46 @@ class TestProtocols:
         proto = solvers.protocol_from_independent_set(d, 2, [0])
         with pytest.raises(SizeGuard):
             solvers.fixed_configurations(d, 2, proto, guard=4)
+
+    def test_each_reading_group_is_enumerated_on_its_own(self):
+        # 17 disjoint 2-cycles: 2^34 configurations, 17 groups of 4
+        d = dg.Digraph(34, [(u, u ^ 1) for u in range(34)])
+        res = solvers.guessing_number(d, 2)
+        fixed = solvers.fixed_configurations(d, 2, res.protocol)
+        assert len(fixed) == res.alpha == 2**17
+        assert fixed[:4] == (0, 3, 12, 15) and fixed[-1] == 2**34 - 1
+        with pytest.raises(SizeGuard):  # the listing itself is guarded too
+            solvers.fixed_configurations(d, 2, res.protocol, guard=2**16)
+        # the guard caps each group, not the product: a path 0 -> 1 -> 2
+        # next to a 2-cycle fits a guard of 8 but not one of 4
+        d = dg.Digraph(5, [(0, 1), (1, 2), (3, 4), (4, 3)])
+        inputs = tuple(tuple(sorted(d.in_adj[v])) for v in range(5))
+        proto = solvers.Protocol(5, 2, inputs, ((0,), (0, 1), (0, 1), (0, 1), (0, 1)))
+        roots = solvers._reading_groups(proto)
+        assert roots[0] == roots[1] == roots[2] != roots[3] == roots[4]
+        assert solvers.fixed_configurations(d, 2, proto, guard=8) == brute_fixed(d, 2, proto)
+        with pytest.raises(SizeGuard):
+            solvers.fixed_configurations(d, 2, proto, guard=4)
+        # random tables on sparse digraphs, one guard below s^n so that
+        # the groups are listed apart (or a group of all n is refused)
+        rng = random.Random(32)
+        split = 0
+        for _ in range(120):
+            s = rng.choice([2, 3])
+            d = random_digraph(rng, rng.randint(2, 6 if s == 2 else 4), p=0.2)
+            inputs = tuple(tuple(sorted(d.in_adj[v])) for v in range(d.n))
+            tables = tuple(
+                tuple(rng.randrange(s) for _ in range(s ** len(ins))) for ins in inputs
+            )
+            proto = solvers.Protocol(d.n, s, inputs, tables)
+            if len(set(solvers._reading_groups(proto))) == 1:
+                with pytest.raises(SizeGuard):
+                    solvers.fixed_configurations(d, s, proto, guard=s ** (d.n - 1))
+                continue
+            fixed = solvers.fixed_configurations(d, s, proto, guard=s ** (d.n - 1))
+            assert fixed == brute_fixed(d, s, proto)
+            split += 1
+        assert split >= 60
 
 
 class TestExhaustiveOracle:
