@@ -8,16 +8,18 @@ ascending, so reported witnesses are reproducible.
 from __future__ import annotations
 
 
-def max_independent_set(rows, n, bound, seed_mask=0, node_budget=None,
+def max_independent_set(rows, n, cover, seed_mask=0, node_budget=None,
                         transitive=False):
     """Exact maximum independent set on a bitmask graph.
 
-    ``bound``: the caller's function from a candidate mask to an upper
-    bound on the independent sets inside it, such as the number of
-    classes of a fixed clique cover that the candidates meet.
+    ``cover`` is a clique cover given as a fold, ``(shifts, keep)``: OR
+    a candidate mask with itself shifted down by each of ``shifts`` in
+    turn, and the bits left in ``keep`` are one per cover class that
+    the candidates meet; their count bounds the independent sets inside
+    them.  ``((), every)`` bounds by the candidate count.
     ``seed_mask`` is a known independent set used only to tighten the
-    initial bound; the returned witness is the lexicographically
-    smallest optimum (as a sorted vertex tuple).
+    initial bound; the witness, returned as a mask, is the
+    lexicographically smallest optimum.
 
     ``transitive`` states that the graph is vertex-transitive, as a
     Cayley graph is.  Then moving any optimum so that one of its
@@ -26,10 +28,16 @@ def max_independent_set(rows, n, bound, seed_mask=0, node_budget=None,
     that includes vertex 0 is done, the root's exclude branch is
     skipped.
 
+    Each node branches on its lowest candidate.  The exclude branch is
+    pushed, and the include branch is taken in place, so it is visited
+    next and that subtree is done before the exclude branch is popped.
+    Every node counts against ``node_budget``.
+
     Returns (size, witness_mask, exact).
     """
     if n == 0:
         return 0, 0, True
+    shifts, keep = cover
     best_size = seed_mask.bit_count() - 1 if seed_mask else 0
     best_mask = seed_mask
     nodes = 0
@@ -37,26 +45,31 @@ def max_independent_set(rows, n, bound, seed_mask=0, node_budget=None,
     every = (1 << n) - 1
     # the node whose candidates equal ``root`` skips its exclude branch
     root = every if transitive else -1
-    # (size, mask, candidates) per node; the exclude branch goes below
-    # the include branch, so it is visited once that subtree is done
-    stack = [(0, 0, every)]
-    while stack:
-        size, mask, candidates = stack.pop()
+    size, mask, candidates = 0, 0, every
+    stack = []
+    while True:
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             exhausted = True
             break
-        if not candidates:
-            if size > best_size:
-                best_size, best_mask = size, mask
-            continue
-        if size + bound(candidates) <= best_size:
-            continue
-        low = candidates & -candidates
-        if candidates != root:
-            stack.append((size, mask, candidates ^ low))
-        v = low.bit_length() - 1
-        stack.append((size + 1, mask | low, candidates & ~rows[v] & ~low))
+        if candidates:
+            met = candidates
+            for shift in shifts:
+                met |= met >> shift
+            if size + (met & keep).bit_count() > best_size:
+                low = candidates & -candidates
+                rest = candidates ^ low
+                if candidates != root:
+                    stack.append((size, mask, rest))
+                size += 1
+                mask |= low
+                candidates = rest & ~rows[low.bit_length() - 1]
+                continue
+        elif size > best_size:
+            best_size, best_mask = size, mask
+        if not stack:
+            break
+        size, mask, candidates = stack.pop()
     if best_mask == seed_mask and seed_mask:
         best_size = seed_mask.bit_count()
     return best_size, best_mask, not exhausted

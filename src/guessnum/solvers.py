@@ -222,27 +222,35 @@ class MisResult:
 
 
 def _exterior_clique_cover(masks, s, coords):
-    """Branch bound: how many cover classes a candidate mask meets.
+    """Clique cover as a fold: ``(shifts, keep)`` for the MIS search.
 
     The classes are the codes that agree outside ``coords``; each is a
     clique when those coordinates form an acyclic induced set of the
     digraph, or, in the code-distance graph, when they are fewer than
-    the distance.  Folding the mask along each coordinate i of
-    ``coords`` (OR of its shifts down by t * s^i, t < s, kept where
-    coordinate i is 0, read from the :func:`coordinate_masks`
-    ``masks``) leaves one bit per class met, so the count is a popcount.
+    the distance.  A candidate mask ORed with itself shifted down by
+    each of ``shifts`` in turn holds, at every code whose coordinates in
+    ``coords`` are all 0, whether the candidates meet its class, and
+    ``keep`` holds those codes (read from the :func:`coordinate_masks`
+    ``masks``), so the count of classes met is one popcount.
+
+    Coordinate i's shifts double the span folded so far: from span 1,
+    while the span is below s, fold by step = min(span, s - span) times
+    s^i and add step to the span (1 shift at s = 2, 2 at s = 3 or 4, 3
+    at s = 5 or 6).  A kept code x reads x + t * s^i only for t < s, so
+    coordinate i never carries into the next one and the other
+    coordinates of ``coords`` stay 0; what a code outside ``keep``
+    reads across a carry is never counted.
     """
-    folds = [(masks[i][0], [t * s**i for t in range(1, s)]) for i in coords]
-
-    def bound(candidates):
-        for zero, shifts in folds:
-            folded = candidates
-            for shift in shifts:
-                folded |= candidates >> shift
-            candidates = folded & zero
-        return candidates.bit_count()
-
-    return bound
+    shifts = []
+    keep = -1  # every code, when ``coords`` is empty
+    for i in coords:
+        span = 1
+        while span < s:
+            step = min(span, s - span)
+            shifts.append(step * s**i)
+            span += step
+        keep &= masks[i][0]
+    return shifts, keep
 
 
 def _linear_seed_codes(handle):
@@ -297,9 +305,9 @@ def max_independent_set(handle, node_budget=None):
     out.
     """
     handle.materialize()
-    bound = _exterior_clique_cover(handle.masks, handle.s, handle.mas.witness)
+    cover = _exterior_clique_cover(handle.masks, handle.s, handle.mas.witness)
     size, mask, exact = _search.max_independent_set(
-        handle.rows, handle.n_configs, bound=bound,
+        handle.rows, handle.n_configs, cover,
         seed_mask=_seed(handle), node_budget=node_budget, transitive=True,
     )
     witness = sorted(_mask_to_set(mask))

@@ -631,6 +631,48 @@ def greedy_clique_cover_bound(rows, candidates):
     return cliques
 
 
+def reference_max_independent_set(rows, n, bound, seed_mask=0, node_budget=None,
+                                  transitive=False):
+    """``_search.max_independent_set`` as a plain stack of nodes, under a
+    callable ``bound`` from a candidate mask to an upper bound.
+
+    The visit order stated directly: pop a node, count it against the
+    budget, record a leaf, prune when ``size + bound(candidates)`` cannot
+    beat the best size, else push the exclude branch (not at the root of
+    a transitive graph) and then the include branch on the lowest
+    candidate, so the include branch is popped first.
+    """
+    if n == 0:
+        return 0, 0, True
+    best_size = seed_mask.bit_count() - 1 if seed_mask else 0
+    best_mask = seed_mask
+    nodes = 0
+    exhausted = False
+    every = (1 << n) - 1
+    root = every if transitive else -1
+    stack = [(0, 0, every)]
+    while stack:
+        size, mask, candidates = stack.pop()
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            exhausted = True
+            break
+        if not candidates:
+            if size > best_size:
+                best_size, best_mask = size, mask
+            continue
+        if size + bound(candidates) <= best_size:
+            continue
+        low = candidates & -candidates
+        if candidates != root:
+            stack.append((size, mask, candidates ^ low))
+        v = low.bit_length() - 1
+        stack.append((size + 1, mask | low, candidates & ~rows[v] & ~low))
+    if best_mask == seed_mask and seed_mask:
+        best_size = seed_mask.bit_count()
+    return best_size, best_mask, not exhausted
+
+
 def pairwise_lexicode(n, d, s):
     """Greedy lexicographic code, each candidate compared with every
     chosen word; the repetition code beyond s^n = 2^10."""
@@ -649,8 +691,8 @@ def pairwise_a_s_exact(n, d, s):
     """``solvers.a_s_exact`` before its distance graph was translated:
     the graph is built pair by pair over the codes far from 0 (one
     codeword fixed to 0 by translation invariance) and searched under a
-    greedy clique cover rebuilt per node.  It shares only the search
-    loop ``_search.max_independent_set`` with the solver."""
+    greedy clique cover rebuilt per node, by
+    :func:`reference_max_independent_set`."""
     if n < 1 or s < 2:
         raise BadParams("need n >= 1 and s >= 2")
     if d < 1:
@@ -683,7 +725,7 @@ def pairwise_a_s_exact(n, d, s):
     for c in witness:
         if c in index:
             seed_mask |= 1 << index[c]
-    size, mask, _ = _search.max_independent_set(
+    size, mask, _ = reference_max_independent_set(
         rows, len(allowed), lambda c: greedy_clique_cover_bound(rows, c),
         seed_mask=seed_mask,
     )
@@ -920,6 +962,18 @@ def all_digraphs(n):
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     for mask in range(1 << len(pairs)):
         yield Digraph(n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1])
+
+
+def digraphs_up_to_isomorphism(n):
+    """One digraph on n vertices from each isomorphism class, the first
+    of :func:`all_digraphs` in its class."""
+    perms = list(itertools.permutations(range(n)))
+    seen = set()
+    for d in all_digraphs(n):
+        forms = [tuple(sorted((p[u], p[v]) for u, v in d.edges())) for p in perms]
+        if min(forms) not in seen:
+            seen.update(forms)
+            yield d
 
 
 # Product adjacency rules for configuration graphs, straight from the

@@ -15,7 +15,12 @@ from guessnum.errors import (
     SizeGuard,
 )
 
-from oracles import all_digraphs, random_digraph, simulate_instance
+from oracles import (
+    all_digraphs,
+    digraphs_up_to_isomorphism,
+    random_digraph,
+    simulate_instance,
+)
 
 
 def relabel(d, mapping):
@@ -319,18 +324,6 @@ class TestOneConfigurationGraph:
         res = netcode.solvable(inst, 2)
         assert res.solvable and res.defect_value == 2
         assert counts == {"rows": 0, "mas": 1, "seed": 0}
-
-
-def digraphs_up_to_isomorphism(n):
-    """One digraph on n vertices from each isomorphism class: the splits
-    of isomorphic digraphs are the same instances up to renaming."""
-    perms = list(itertools.permutations(range(n)))
-    seen = set()
-    for d in all_digraphs(n):
-        forms = [tuple(sorted((p[u], p[v]) for u, v in d.edges())) for p in perms]
-        if min(forms) not in seen:
-            seen.update(forms)
-            yield d
 
 
 def every_split(d):

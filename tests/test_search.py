@@ -5,11 +5,20 @@ import subprocess
 import sys
 
 import guessnum
-from guessnum import _search, cyclic
+from guessnum import _search, cyclic, solvers
 from guessnum import digraph as dg
 from guessnum import gf_linear as gl
+from guessnum import guessing_graph as gg
 
-from oracles import brute_chromatic, dsatur_backtrack, random_digraph, set_dsatur
+from oracles import (
+    all_digraphs,
+    brute_chromatic,
+    brute_exterior_classes,
+    dsatur_backtrack,
+    random_digraph,
+    reference_max_independent_set,
+    set_dsatur,
+)
 
 BUDGETS = (None, 1, 2, 3, 5, 8, 13, 30, 100)
 
@@ -29,6 +38,31 @@ def proper(rows, colors):
                for v in range(len(rows)) if rows[u] >> v & 1)
 
 
+def brute_bound(d, s, coords):
+    """``brute_exterior_classes`` as a bound, each candidate mask scanned once."""
+    memo = {}
+
+    def bound(candidates):
+        if candidates not in memo:
+            memo[candidates] = brute_exterior_classes(d, s, coords, candidates)
+        return memo[candidates]
+
+    return bound
+
+
+def assert_same_search(rows, n, cover, bound, seeds):
+    # equal answers at every budget mean the nodes are visited in the
+    # same order, so budgeted callers see no change either
+    for seed_mask in seeds:
+        for transitive in (False, True):
+            for budget in BUDGETS:
+                got = _search.max_independent_set(rows, n, cover, seed_mask, budget,
+                                                  transitive)
+                want = reference_max_independent_set(rows, n, bound, seed_mask, budget,
+                                                     transitive)
+                assert got == want, (rows, cover, seed_mask, budget, transitive)
+
+
 class TestMaxIndependentSet:
     def test_star_keeps_the_full_search(self):
         # the only optimum of a star centred at 0 is its leaves, which a
@@ -36,9 +70,48 @@ class TestMaxIndependentSet:
         # skips every set without vertex 0
         leaves = (1 << 6) - 2
         rows = [leaves] + [1] * 5
-        count = lambda candidates: candidates.bit_count()
+        count = ((), (1 << 6) - 1)
         assert _search.max_independent_set(rows, 6, count) == (5, leaves, True)
         assert _search.max_independent_set(rows, 6, count, transitive=True) == (1, 1, True)
+
+    def test_same_answer_as_the_reference_on_random_graphs(self):
+        rng = random.Random(53)
+        for _ in range(150):
+            n = rng.randint(0, 14)
+            rows = random_graph(rng, n, rng.random())
+            # a random maximal independent set as the seed
+            seed_mask = 0
+            free = (1 << n) - 1
+            while free:
+                v = rng.choice([u for u in range(n) if free >> u & 1])
+                seed_mask |= 1 << v
+                free &= ~(rows[v] | 1 << v)
+            assert_same_search(rows, n, ((), (1 << n) - 1), lambda c: c.bit_count(),
+                               (0, seed_mask))
+
+    def test_same_answer_as_the_reference_on_configuration_graphs(self):
+        rng = random.Random(57)
+        cases = [(d, s) for n in range(4) for d in all_digraphs(n) for s in (2, 3, 4)]
+        cases += [(random_digraph(rng, n, rng.uniform(0.3, 0.8)), s)
+                  for s, n in [(2, 4)] * 6 + [(2, 5)] * 6 + [(3, 4)] * 3 + [(3, 5)]]
+        for d, s in cases:
+            handle = gg.GuessingGraph(d, s)
+            handle.materialize()
+            acyclic = handle.mas.witness
+            cover = solvers._exterior_clique_cover(handle.masks, s, acyclic)
+            assert_same_search(handle.rows, handle.n_configs, cover,
+                               brute_bound(d, s, acyclic), (0, solvers._seed(handle)))
+
+    def test_same_answer_as_the_reference_on_code_distance_graphs(self):
+        for s, top in ((2, 6), (3, 4), (4, 3)):
+            for n in range(1, top + 1):
+                for d in range(2, n + 1):
+                    masks, rows = solvers._distance_rows(n, d, s)
+                    singleton = range(d - 1)
+                    cover = solvers._exterior_clique_cover(masks, s, singleton)
+                    assert_same_search(rows, s**n, cover,
+                                       brute_bound(dg.Digraph(n), s, singleton),
+                                       (0, solvers._lexicode(rows)))
 
 
 class TestFindKColoring:
@@ -187,7 +260,7 @@ class TestSearchDepth:
         rows = [0] * 300
         every = (1 << 300) - 1
         with shallow_stack():
-            mis = _search.max_independent_set(rows, 300, lambda c: c.bit_count())
+            mis = _search.max_independent_set(rows, 300, ((), every))
             colouring = _search.find_k_coloring(rows, 300, 1)
         assert mis == (300, every, True)
         assert colouring == ([0] * 300, True)

@@ -24,6 +24,7 @@ from oracles import (
     candidate_loop_chromatic,
     cartesian_adjacent,
     co_normal_adjacent,
+    digraphs_up_to_isomorphism,
     exhaustive_best_protocol,
     gf4_evaluation_code,
     lexicographic_adjacent,
@@ -78,9 +79,9 @@ class TestMaxIndependentSet:
 
     def test_fold_bound_counts_the_classes_met(self):
         rng = random.Random(29)
-        for s in (2, 3, 4):
+        for s in (2, 3, 4, 5, 6):
             for _ in range(6):
-                n = rng.randint(1, {2: 6, 3: 4, 4: 3}[s])
+                n = rng.randint(1, {2: 6, 3: 4, 4: 3, 5: 2, 6: 2}[s])
                 d = random_digraph(rng, n)
                 total = s**n
                 mas = dg.mas_exact(d).witness
@@ -92,10 +93,17 @@ class TestMaxIndependentSet:
                 sets += [rng.getrandbits(total) & rng.getrandbits(total)
                          & rng.getrandbits(total) for _ in range(8)]
                 for acyclic in subsets:
-                    bound = solvers._exterior_clique_cover(
+                    shifts, keep = solvers._exterior_clique_cover(
                         gg.coordinate_masks(n, s), s, acyclic)
+                    # span doubling: 1 shift per coordinate at s = 2, 2 at
+                    # s = 3 or 4, 3 at s = 5 or 6
+                    assert len(shifts) == len(acyclic) * (s - 1).bit_length()
                     for c in sets:
-                        assert bound(c) == brute_exterior_classes(d, s, acyclic, c)
+                        folded = c
+                        for shift in shifts:
+                            folded |= folded >> shift
+                        assert (folded & keep).bit_count() == \
+                            brute_exterior_classes(d, s, acyclic, c)
 
 
 class TestGuessingNumber:
@@ -1047,6 +1055,25 @@ class TestBoundsReport:
             g = solvers.guessing_number(d, 2)
             assert rep.g_lower - 1e-9 <= g.value <= rep.g_upper + 1e-9
             checked += 1
+
+    def test_chain_sound_on_every_small_digraph(self):
+        # every digraph up to isomorphism, against exact g, b and, at
+        # prime s, exact g_lin
+        for s, top in ((2, 4), (3, 4), (4, 3), (5, 3), (6, 3)):
+            for n in range(top + 1):
+                for d in digraphs_up_to_isomorphism(n):
+                    rep = solvers.bounds_report(d, s)
+                    g = solvers.guessing_number(d, s).value
+                    b = solvers.information_defect(d, s)
+                    assert b.exact, (d, s)
+                    assert rep.g_lower - 1e-9 <= g <= rep.g_upper + 1e-9, (d, s)
+                    assert b.value <= rep.b_upper + 1e-9, (d, s)
+                    if s in (2, 3, 5):
+                        lin = gf_linear.linear_guessing_number(d, s, exhaustive=True)
+                        assert lin.exact, (d, s)
+                        assert rep.g_linear_lower - 1e-9 <= lin.value \
+                            <= rep.g_linear_upper + 1e-9, (d, s)
+                        assert lin.value <= g + 1e-9, (d, s)
 
 
 class TestAlphabetComposition:
