@@ -247,9 +247,8 @@ def polynomial_digraph_report(g, n):
     coprime_pair = any(
         int_gcd(i, j) == 1 for i in support for j in support if i <= j
     )
-    prefix = tuple(range(n - deg)) if deg <= n else ()
-    sub, _ = dg.induced_subdigraph(d, prefix)
-    prefix_acyclic = dg.is_acyclic(sub)
+    prefix = (1 << (n - deg)) - 1  # the first n - deg vertices
+    prefix_acyclic = dg.topological_order(d.out_rows(), prefix) is not None
     mas = dg.mas_exact(d)
     fixed_dim = gf_linear.full_support_fixed_dimension(d, 2)
     gcd_poly = g.gcd(x_power_plus_one(n))

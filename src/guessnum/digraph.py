@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import _search
-from .errors import BadParams, LoopEdge, NotAcyclic, VertexOutOfRange
+from .errors import BadParams, LoopEdge, VertexOutOfRange
 
 DEFAULT_MAS_BUDGET = 1 << 25
 DEFAULT_PARTITION_BUDGET = 1 << 22
@@ -326,28 +326,70 @@ def girth(d):
 
 
 def is_acyclic(d):
-    try:
-        topological_order(d)
-    except NotAcyclic:
-        return False
-    return True
+    return topological_order(d.out_rows(), (1 << d.n) - 1) is not None
 
 
-def topological_order(d):
-    """Topological order of an acyclic digraph (NotAcyclic otherwise)."""
-    indeg = [d.in_degree(v) for v in range(d.n)]
-    ready = sorted(v for v in range(d.n) if indeg[v] == 0)
+def topological_order(out_rows, mask):
+    """The vertices of the bit mask ``mask``, each after its in-neighbours
+    among them, or None when they induce a directed cycle.
+
+    ``out_rows`` holds each vertex's out-neighbours as a bit row.  Kahn's
+    algorithm in rounds: each round emits, in ascending order, every
+    vertex left in ``mask`` that no vertex left points to, and drops
+    them; a round that finds none has met a cycle.  A round costs one OR
+    per vertex left, so the whole costs O(n) per level of the order.
+    """
     order = []
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for w in sorted(d.out_adj[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    if len(order) != d.n:
-        raise NotAcyclic("digraph contains a directed cycle")
+    while mask:
+        entered = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            entered |= out_rows[low.bit_length() - 1]
+        ready = mask & ~entered
+        if not ready:
+            return None
+        mask ^= ready
+        while ready:
+            low = ready & -ready
+            ready ^= low
+            order.append(low.bit_length() - 1)
     return order
+
+
+def reachable(rows, frontier, within=-1):
+    """The bit mask ``frontier`` and every vertex of ``within`` that a
+    path along the bit rows ``rows`` reaches from it through vertices of
+    ``within`` only.
+
+    A frontier walk: every vertex of the frontier is expanded at once,
+    and the new vertices of ``within`` among those rows form the next
+    frontier.
+    """
+    seen = frontier
+    while frontier:
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grow |= rows[low.bit_length() - 1]
+        frontier = grow & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def weak_components(linked):
+    """Components of the symmetric relation whose bit rows are ``linked``
+    (each vertex's in- and out-neighbours for a digraph's weak
+    components), as vertex masks, lowest vertex first."""
+    comps = []
+    rest = (1 << len(linked)) - 1
+    while rest:
+        comp = reachable(linked, rest & -rest)
+        comps.append(comp)
+        rest ^= comp
+    return comps
 
 
 def structure_report(d, scc=None):

@@ -426,6 +426,11 @@ def _descend(d, p, coeffs):
 
 
 def _lower_candidates(d, p):
+    """The candidates of :func:`_bounded_lower` as (dimension,
+    coefficients, tag).  Coefficients A stand for the strategy
+    x_v = -sum of A[u][v] x_u, so the tag ``all-ones`` (every A[u][v] = 1)
+    is the all-ones strategy at p = 2 only, and minus-all-ones at odd p.
+    """
     edges = d.edges()
     full = {e: 1 for e in edges}
     yield d.n - _rank_of_support(d, p, full), dict(full), "all-ones"
@@ -449,11 +454,13 @@ def _lower_candidates(d, p):
 def _bounded_lower(d, p, upper=None):
     """Best fixed-space dimension found by cheap candidate strategies.
 
-    Candidates, in order: the all-ones strategy, greedy descent from it,
-    a few seeded random descents, and the all-ones-per-clique strategy
-    from a clique partition (each clique block of I + A collapses to
-    rank 1).  The first candidate of the largest dimension wins.  Given
-    a proven ``upper`` bound on the linear guessing number, the search
+    Candidates, in order (:func:`_lower_candidates`): the strategy
+    x_v = -sum of the in-neighbours' symbols (all-ones at p = 2,
+    minus-all-ones at odd p), greedy descent from it, a few seeded
+    random descents, and the same strategy within each class of a clique
+    partition (each clique block of I + A collapses to rank 1).  The
+    first candidate of the largest dimension wins.  Given a proven
+    ``upper`` bound on the linear guessing number, the search
     stops at the first candidate that reaches it: no later candidate can
     do strictly better, so the result is the same as without it.
     Returns (dimension, witness, tag).

@@ -211,12 +211,13 @@ def degree_closed_form(digraph, s):
     A configuration is 0 or a non-neighbour of 0 exactly when its support
     T is closed: every member of T has an in-neighbour in T.  So there
     are sum over closed T of (s-1)^|T| of them.  Closedness splits over
-    the weak components, so the degree is s^n minus the product of the
-    components' counts N_c.  Each N_c comes from the cheaper side: the
-    closed sets themselves (:func:`_closed_count`) when every vertex of
-    the component has at most one in-neighbour, inclusion-exclusion over
-    its independent sets (:func:`_independent_count`) otherwise.  Both
-    walks count their nodes against the one ``_DEGREE_NODE_CAP``.  On a
+    the weak components (:func:`digraph.weak_components`), so the degree
+    is s^n minus the product of the components' counts N_c.  Each N_c
+    comes from the cheaper side: the closed sets themselves
+    (:func:`_closed_count`) when every vertex of the component has at
+    most one in-neighbour, inclusion-exclusion over its independent sets
+    (:func:`_independent_count`) otherwise.  Both walks count their
+    nodes against the one ``_DEGREE_NODE_CAP``.  On a
     :func:`digraph.rotation_invariant` digraph the rotations act
     transitively on each weak component, so inclusion-exclusion walks
     only the sets that contain the component's lowest vertex.
@@ -228,18 +229,7 @@ def degree_closed_form(digraph, s):
     linked = [in_rows[v] | out_rows[v] for v in range(n)]
     non_neighbours = 1
     visited = 0
-    rest = (1 << n) - 1
-    while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            grow = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                grow |= linked[low.bit_length() - 1]
-            frontier = grow & ~comp
-            comp |= frontier
-        rest ^= comp
+    for comp in dg.weak_components(linked):
         if all(in_rows[v] & (in_rows[v] - 1) == 0 for v in _mask_to_set(comp)):
             count, visited = _closed_count(comp, in_rows, out_rows, s, visited)
         else:

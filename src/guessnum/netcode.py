@@ -65,42 +65,24 @@ class NetworkInstance:
             raise InvalidInstance("duplicate node names")
         if len(self.sources) != len(self.sinks):
             raise InvalidInstance("sources and sinks must pair up")
-        known = set(names)
-        out_deg = {name: 0 for name in names}
-        in_deg = {name: 0 for name in names}
+        index = {name: i for i, name in enumerate(names)}
         for u, v in self.edges:
-            if u not in known or v not in known:
+            if u not in index or v not in index:
                 raise InvalidInstance(f"edge ({u}, {v}) uses an unknown node")
-            out_deg[u] += 1
-            in_deg[v] += 1
+        tails = {u for u, _ in self.edges}
+        heads = {v for _, v in self.edges}
         for sname in self.sources:
-            if in_deg[sname]:
+            if sname in heads:
                 raise InvalidInstance(f"source {sname} has incoming edges")
         for tname in self.sinks:
-            if out_deg[tname]:
+            if tname in tails:
                 raise InvalidInstance(f"sink {tname} has outgoing edges")
-        index = {name: i for i, name in enumerate(names)}
         rows = [0] * len(names)
-        indeg = [0] * len(names)
-        for u, v in dict.fromkeys(self.edges):
+        for u, v in self.edges:
             if u == v:
                 raise LoopEdge(f"loop at node {u} rejected")
             rows[index[u]] |= 1 << index[v]
-            indeg[index[v]] += 1
-        # Kahn's algorithm: drop vertices whose in-edges are all dropped
-        ready = [v for v, k in enumerate(indeg) if not k]
-        dropped = 0
-        while ready:
-            row = rows[ready.pop()]
-            dropped += 1
-            while row:
-                low = row & -row
-                w = low.bit_length() - 1
-                indeg[w] -= 1
-                if not indeg[w]:
-                    ready.append(w)
-                row ^= low
-        if dropped < len(names):
+        if dg.topological_order(rows, (1 << len(names)) - 1) is None:
             raise InvalidInstance("underlying digraph has a directed cycle")
 
 
@@ -143,8 +125,7 @@ def from_digraph(d, intermediates):
     inter = sorted(set(intermediates))
     if any(not 0 <= v < d.n for v in inter):
         raise BadParams("intermediate ids out of range")
-    sub, _ = dg.induced_subdigraph(d, inter)
-    if not dg.is_acyclic(sub):
+    if dg.topological_order(d.out_rows(), sum(1 << v for v in inter)) is None:
         raise NotAcyclic("chosen intermediate set induces a directed cycle")
     inter_set = set(inter)
     outside = [v for v in range(d.n) if v not in inter_set]
@@ -270,24 +251,21 @@ def _simulate(instance, digraph, protocol, s):
     so the nodes are grouped by the components of the reads relation
     (:func:`solvers._reading_groups`; each a subset of a strong component
     for a protocol from :func:`solvers.guessing_number`) and each group
-    is checked on the s^(its pairs) words of its own sources.  ``None``
-    when some group alone has more than 2^16 such words.  Linear
-    certificates are checked by :func:`_delivers_linearly` instead, at
-    any size.
+    is checked on the s^(its pairs) words of its own sources, its relays
+    taken in :func:`_relay_order`.  ``None`` when some group alone has
+    more than 2^16 such words.  Linear certificates are checked by
+    :func:`_delivers_linearly` instead, at any size.
     """
     n = instance.n_pairs
-    roots = solvers._reading_groups(protocol)
-    groups = {}
-    for v in [*range(n), *_relay_order(digraph, n)]:
-        groups.setdefault(roots[v], []).append(v)
+    order = _relay_order(digraph, n)
     verified = True
-    for members in groups.values():
-        pairs = [v for v in members if v < n]
-        relays = [v for v in members if v >= n]
+    for group in solvers._reading_groups(protocol):
+        pairs = [v for v in range(n) if group >> v & 1]
         if s ** len(pairs) > _SIMULATE_GUARD:
             verified = None
             continue
         words = itertools.product(range(s), repeat=len(pairs))
+        relays = [v for v in order if group >> v & 1]
         if not _delivers(protocol, pairs, relays, words):
             return False
     return verified
@@ -299,20 +277,7 @@ def _relay_order(digraph, n):
     Sources are inputs, so edges into merged pair vertices do not
     constrain the order, and the relays induce an acyclic subgraph.
     """
-    waiting = [0] * digraph.n
-    for v in range(n, digraph.n):
-        waiting[v] = sum(u >= n for u in digraph.in_adj[v])
-    ready = [v for v in range(n, digraph.n) if not waiting[v]]
-    order = []
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for w in digraph.out_adj[v]:
-            if w >= n:
-                waiting[w] -= 1
-                if not waiting[w]:
-                    ready.append(w)
-    return order
+    return dg.topological_order(digraph.out_rows(), (1 << digraph.n) - (1 << n))
 
 
 def _linear_table(coefficients, s):
@@ -440,11 +405,13 @@ def solvable(instance, s, guard=DEFAULT_GUARD):
         ]
         value, name = min(candidates, default=(float(merged.n), "trivial"))
         binding = (name, value)
-        adj = {}
-        for u, v in instance.edges:
-            adj.setdefault(u, set()).add(v)
+        # sources have no in-edges and sinks no out-edges, so a path from
+        # s_i to t_i runs through relays only: from i's out-neighbours
+        # among them to one of i's in-neighbours
+        out_rows, in_rows = merged.out_rows(), merged.in_rows()
+        relays = (1 << merged.n) - (1 << n)
         for i in range(n):
-            if not _reaches(adj, instance.sources[i], instance.sinks[i]):
+            if not dg.reachable(out_rows, out_rows[i] & relays, relays) & in_rows[i]:
                 reason = f"sink {instance.sinks[i]} is unreachable from {instance.sources[i]}"
                 break
         else:
@@ -469,20 +436,6 @@ def solvable(instance, s, guard=DEFAULT_GUARD):
         defect_matches_intermediates=defect_matches,
         reason=reason,
     )
-
-
-def _reaches(adj, source, target):
-    frontier = [source]
-    seen = set(frontier)
-    while frontier:
-        u = frontier.pop()
-        if u == target:
-            return True
-        for w in adj.get(u, ()):  # noqa: B909
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return False
 
 
 # -- text format ----------------------------------------------------------

@@ -130,22 +130,17 @@ def _fixed_mask(protocol, masks):
 
 
 def _reading_groups(protocol):
-    """Each vertex's group root: the components of the relation "v reads
-    u" (u among ``protocol.inputs[v]``), by union-find.  A vertex's
-    value under the protocol depends only on the vertices of its group.
+    """The components of the relation "v reads u" (u among
+    ``protocol.inputs[v]``) as vertex masks, lowest vertex first
+    (:func:`digraph.weak_components`).  A vertex's value under the
+    protocol depends only on the vertices of its group.
     """
-    group = list(range(protocol.n))
-
-    def root(v):
-        while group[v] != v:
-            group[v] = group[group[v]]
-            v = group[v]
-        return v
-
+    linked = [0] * protocol.n
     for v, inputs in enumerate(protocol.inputs):
         for u in inputs:
-            group[root(u)] = root(v)
-    return [root(v) for v in range(protocol.n)]
+            linked[v] |= 1 << u
+            linked[u] |= 1 << v
+    return dg.weak_components(linked)
 
 
 def _fixed_codes(protocol, guard):
@@ -185,11 +180,9 @@ def fixed_configurations(d, s, protocol, guard=DEFAULT_GUARD):
             raise BadParams(f"table of vertex {v} needs s^{len(ins)} symbols in [0, {s})")
     if s**d.n <= guard:
         return tuple(sorted(_fixed_codes(protocol, guard)))
-    groups = {}
-    for v, r in enumerate(_reading_groups(protocol)):
-        groups.setdefault(r, []).append(v)
     parts = []
-    for members in groups.values():
+    for group in _reading_groups(protocol):
+        members = sorted(_mask_to_set(group))
         position = {v: j for j, v in enumerate(members)}
         part = Protocol(
             len(members), s,
@@ -491,10 +484,12 @@ def chromatic_number(handle, mis_witness=None, node_budget=None, alpha_upper=Non
     counts are read first (:func:`_coset_count`), and they are built
     and checked by :func:`_proper` fewest colours first, the seed first
     on a tie, until one is proper: the proper coset coloring with the
-    fewest colours.  On an acyclic digraph the seed is {0}, whose s^n
-    singleton cosets meet the bound s^n.  Greedy DSATUR on bitmask
-    state runs only when that coloring is missing or misses the lower
-    bound, and replaces it only with strictly fewer colours.  The
+    fewest colours.  The seed's always is: its fixed space is a kernel,
+    hence a subgroup, and independent, and in a Cayley graph every coset
+    of an independent subgroup is independent.  On an acyclic digraph
+    the seed is {0}, whose s^n singleton cosets meet the bound s^n.
+    Greedy DSATUR on bitmask state runs only when that coloring misses
+    the lower bound, and replaces it only with strictly fewer colours.  The
     result seeds iterative-deepening backtracking, which closes any gap
     left; a coloring from DSATUR or from the backtracking passes
     :func:`_proper` before it is returned, so every returned coloring
@@ -508,17 +503,17 @@ def chromatic_number(handle, mis_witness=None, node_budget=None, alpha_upper=Non
     independent = [_seed(handle)]
     if mis_witness:
         independent.append(sum(1 << x for x in mis_witness))
-    proper = None
     order = sorted((_coset_count(handle, m), i, m) for i, m in enumerate(independent))
     for k, _, mask in order:
-        colors = _coset_coloring(handle, mask)
-        if _proper(handle, colors):
-            proper = colors
+        proper = _coset_coloring(handle, mask)
+        if _proper(handle, proper):
             break
+    else:
+        raise AssertionError("the seed's coset coloring is not proper")
     initial = proper
-    if proper is None or k > lower:
+    if k > lower:
         greedy = _search.greedy_dsatur(handle.rows, total)
-        if proper is None or max(greedy) + 1 < k:
+        if max(greedy) + 1 < k:
             initial, k = greedy, max(greedy) + 1
     chi, coloring, exact = _search.exact_chromatic(
         handle.rows, total, lower, initial, node_budget=node_budget
@@ -812,6 +807,9 @@ def bounds_report(d, s):
         skipped.append(("min_indegree", "digraph is acyclic"))
         skipped.append(("graph_degree", "digraph is acyclic"))
         skipped.append(("transitive_connectivity", "digraph is acyclic"))
+    # x_v = -(sum over the rest of v's clique class) fixes the words that
+    # sum to 0 on every class: the all-ones strategy at s = 2 only, and
+    # minus-all-ones at s > 2
     partition = dg.clique_partition_number(d)
     bounds.append(Bound("clique_partition", "g_linear", "lower",
                         n - partition.count,

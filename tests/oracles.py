@@ -73,6 +73,56 @@ def weak_components(d):
     return comps
 
 
+def union_find_roots(n, inputs):
+    """Each vertex's group root under the relation "v reads u" (u among
+    ``inputs[v]``), by union-find with path halving."""
+    group = list(range(n))
+
+    def root(v):
+        while group[v] != v:
+            group[v] = group[group[v]]
+            v = group[v]
+        return v
+
+    for v, ins in enumerate(inputs):
+        for u in ins:
+            group[root(u)] = root(v)
+    return [root(v) for v in range(n)]
+
+
+def bfs_reachable(rows, frontier, within):
+    """Set-based breadth-first search over bit rows: the frontier's
+    vertices plus every vertex of ``within`` reached through ``within``."""
+    within = _mask_to_set(within)
+    seen = _mask_to_set(frontier)
+    queue = list(seen)
+    while queue:
+        u = queue.pop(0)
+        for w in _mask_to_set(rows[u]):
+            if w in within and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def name_reaches(edges, source, target):
+    """Depth-first search over an instance's (name, name) edges."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+    frontier = [source]
+    seen = {source}
+    while frontier:
+        u = frontier.pop()
+        if u == target:
+            return True
+        for w in adj.get(u, ()):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return False
+
+
 def is_circulant(d):
     """Edge scan: every edge u -> v comes with u + 1 -> v + 1 mod n."""
     return all(d.has_edge((u + 1) % d.n, (v + 1) % d.n) for u, v in d.edges())

@@ -9,12 +9,17 @@ from guessnum.errors import BadParams, LoopEdge, VertexOutOfRange
 from oracles import (
     all_digraphs,
     bfs_mas_search,
+    bfs_reachable,
+    brute_girth,
     brute_mas,
     brute_mas_witness,
     brute_rank_gf2,
+    digraphs_up_to_isomorphism,
     induces_acyclic,
     random_digraph,
     scan_greedy_acyclic_set,
+    union_find_roots,
+    weak_components,
 )
 
 
@@ -143,6 +148,85 @@ class TestStructure:
             # every vertex appears exactly once
             seen = sorted(v for comp in scc.components for v in comp)
             assert seen == list(range(d.n))
+
+
+def check_order(d, mask, order):
+    """``order`` lists the vertices of ``mask`` once each, every edge
+    among them pointing forward."""
+    assert sorted(order) == [v for v in range(d.n) if mask >> v & 1]
+    position = {v: i for i, v in enumerate(order)}
+    for u in order:
+        for v in d.out_adj[u]:
+            if v in position:
+                assert position[u] < position[v]
+
+
+class TestWalks:
+    """The bit-row walks against brute force and set-based references."""
+
+    def test_topological_order_on_every_small_digraph_and_mask(self):
+        checked = 0
+        for n in range(5):
+            for d in digraphs_up_to_isomorphism(n):
+                out_rows = d.out_rows()
+                for mask in range(1 << n):
+                    sub, _ = dg.induced_subdigraph(d, [v for v in range(n) if mask >> v & 1])
+                    order = dg.topological_order(out_rows, mask)
+                    assert (order is None) == (brute_girth(sub) is not None)
+                    if order is not None:
+                        check_order(d, mask, order)
+                    checked += 1
+        assert checked == 1 + 2 + 4 * 3 + 8 * 16 + 16 * 218
+
+    def test_topological_order_on_random_digraphs(self):
+        rng = random.Random(61)
+        acyclic = 0
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            d = random_digraph(rng, n, p=rng.choice([0.1, 0.2, 0.4]))
+            mask = rng.getrandbits(n)
+            order = dg.topological_order(d.out_rows(), mask)
+            vertices = [v for v in range(n) if mask >> v & 1]
+            assert (order is not None) == induces_acyclic(d, vertices)
+            if order is not None:
+                check_order(d, mask, order)
+                acyclic += 1
+        assert 50 < acyclic < 250
+
+    def test_is_acyclic_reads_the_whole_mask(self):
+        assert dg.is_acyclic(dg.path(4)) and not dg.is_acyclic(dg.cycle(4))
+        assert dg.topological_order(dg.cycle(4).out_rows(), 0b0111) is not None
+        assert dg.topological_order([], 0) == []
+
+    def test_reachable_matches_bfs(self):
+        rng = random.Random(62)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            d = random_digraph(rng, n, p=rng.choice([0.1, 0.2, 0.4]))
+            rows = rng.choice([d.out_rows(), d.in_rows()])
+            frontier = rng.getrandbits(n)
+            within = rng.choice([-1, (1 << n) - 1, rng.getrandbits(n)])
+            expected = bfs_reachable(rows, frontier, within & (1 << n) - 1)
+            assert dg.reachable(rows, frontier, within) == sum(1 << v for v in expected)
+
+    def test_weak_components_match_union_find(self):
+        rng = random.Random(63)
+        for _ in range(200):
+            n = rng.randint(0, 12)
+            d = random_digraph(rng, n, p=rng.choice([0.05, 0.1, 0.3]))
+            out_rows, in_rows = d.out_rows(), d.in_rows()
+            comps = dg.weak_components([a | b for a, b in zip(out_rows, in_rows)])
+            # a partition of the vertices, in the order of lowest vertices
+            assert sum(comps) == (1 << n) - 1
+            assert all(a & b == 0 for i, a in enumerate(comps) for b in comps[i + 1:])
+            lowest = [c & -c for c in comps]
+            assert lowest == sorted(lowest)
+            roots = union_find_roots(n, [tuple(d.in_adj[v]) for v in range(n)])
+            groups = {}
+            for v, r in enumerate(roots):
+                groups[r] = groups.get(r, 0) | 1 << v
+            assert sorted(comps) == sorted(groups.values())
+            assert sorted(comps) == sorted(sum(1 << v for v in c) for c in weak_components(d))
 
 
 class TestMas:

@@ -18,6 +18,7 @@ from guessnum.errors import (
 from oracles import (
     all_digraphs,
     digraphs_up_to_isomorphism,
+    name_reaches,
     random_digraph,
     simulate_instance,
 )
@@ -151,6 +152,19 @@ class TestSolvability:
     def test_butterfly_stays_solvable_over_the_squared_alphabet(self):
         res = netcode.solvable(netcode.butterfly(), 4)
         assert res.solvable
+
+    def test_a_relay_chain_is_simulated_in_order(self):
+        # z1 feeds z2, but z2 is listed first: at s = 4 the configuration
+        # graph decides, and the certificate is simulated with z1 first
+        inst = netcode.NetworkInstance(
+            sources=("s1",), sinks=("t1",), intermediates=("z2", "z1"),
+            edges=(("s1", "z1"), ("z1", "z2"), ("z2", "t1")),
+        )
+        merged, _ = netcode.to_guessing_digraph(inst)
+        assert netcode._relay_order(merged, 1) == [2, 1]
+        protocol = solvers.guessing_number(merged, 4).protocol
+        assert netcode._simulate(inst, merged, protocol, 4) is True
+        assert netcode.solvable(inst, 4).solvable
 
     def test_unreachable_sink_reported(self):
         inst = netcode.NetworkInstance(
@@ -345,6 +359,34 @@ def graph_path(inst, s):
         chi = solvers.information_defect(merged, s).chi
     solvable = result.alpha == s**inst.n_pairs
     return solvable, result.alpha, result.value, chi, chi == s ** len(inst.intermediates)
+
+
+def reference_reason(inst, res):
+    """The reason an unsolvable instance reports, from a name-level search
+    of its edges: the first sink its source cannot reach, else the
+    guessing number."""
+    for sname, tname in zip(inst.sources, inst.sinks):
+        if not name_reaches(inst.edges, sname, tname):
+            return f"sink {tname} is unreachable from {sname}"
+    return f"guessing number {res.g_value:.3f} < {inst.n_pairs}"
+
+
+class TestUnreachableReason:
+    def test_reason_matches_a_name_level_search_on_every_split(self):
+        total = unsolvable = unreachable = 0
+        for n in range(5):
+            for d in digraphs_up_to_isomorphism(n):
+                for inst in every_split(d):
+                    res = netcode.solvable(inst, 2)
+                    total += 1
+                    if res.solvable:
+                        assert res.reason is None
+                        continue
+                    unsolvable += 1
+                    assert res.reason == reference_reason(inst, res), (d.edges(), inst)
+                    unreachable += "unreachable" in res.reason
+        assert (total, unsolvable) == (2546, 2090)
+        assert 0 < unreachable < unsolvable
 
 
 # the two seed-2 netcode_solve gap jobs, merged: pairs 0..2, relays 3 and 4

@@ -436,6 +436,20 @@ class TestOneColoring:
         assert (res.chi, res.exact) == (4, True)
         assert found == [True, True]  # k = 4 succeeds once per call
 
+    def test_the_seed_coset_coloring_is_always_proper(self):
+        # the seed is an independent subgroup, and in a Cayley graph each
+        # coset of one is independent, so chromatic_number never runs out
+        # of proper coset colourings
+        checked = 0
+        for s, largest in ((2, 4), (3, 4), (4, 3), (5, 3), (6, 3)):
+            for n in range(largest + 1):
+                for d in digraphs_up_to_isomorphism(n):
+                    h = handle(d, s).materialize()
+                    colors = solvers._coset_coloring(h, solvers._seed(h))
+                    assert solvers._proper(h, colors), (d.edges(), s)
+                    checked += 1
+        assert checked == 541
+
     def test_a_dsatur_tie_keeps_the_coset_coloring(self, monkeypatch):
         # K_3 over [3] without a witness: the seed {0} gives 27 singleton
         # cosets; a DSATUR colouring with as many colours must not replace
@@ -794,8 +808,7 @@ class TestProtocols:
         d = dg.Digraph(5, [(0, 1), (1, 2), (3, 4), (4, 3)])
         inputs = tuple(tuple(sorted(d.in_adj[v])) for v in range(5))
         proto = solvers.Protocol(5, 2, inputs, ((0,), (0, 1), (0, 1), (0, 1), (0, 1)))
-        roots = solvers._reading_groups(proto)
-        assert roots[0] == roots[1] == roots[2] != roots[3] == roots[4]
+        assert solvers._reading_groups(proto) == [0b00111, 0b11000]
         assert solvers.fixed_configurations(d, 2, proto, guard=8) == brute_fixed(d, 2, proto)
         with pytest.raises(SizeGuard):
             solvers.fixed_configurations(d, 2, proto, guard=4)
@@ -811,7 +824,7 @@ class TestProtocols:
                 tuple(rng.randrange(s) for _ in range(s ** len(ins))) for ins in inputs
             )
             proto = solvers.Protocol(d.n, s, inputs, tables)
-            if len(set(solvers._reading_groups(proto))) == 1:
+            if len(solvers._reading_groups(proto)) == 1:
                 with pytest.raises(SizeGuard):
                     solvers.fixed_configurations(d, s, proto, guard=s ** (d.n - 1))
                 continue
