@@ -210,12 +210,31 @@ def rotation_invariant(out_rows):
     return True
 
 
+def _row_union(rows, mask):
+    """The OR of the bit rows of the vertices in the bit mask ``mask``."""
+    union = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        union |= rows[low.bit_length() - 1]
+    return union
+
+
 def strong_components(d):
     """Strongly connected components plus the (acyclic) condensation.
 
     Components come out in reverse topological order of the condensation:
     every condensation edge points from a higher component index to a
     lower one.
+
+    Tarjan's search on bit rows.  The depth-first walk enters the lowest
+    out-neighbour not yet visited.  Each frame keeps its vertex, the mask
+    of vertices opened (entered and in no component yet) before it, and
+    the OR of the out-rows of its subtree, less the subtrees that rooted
+    components of their own.  A finished vertex roots a component
+    exactly when that OR misses every vertex opened before it (Tarjan's
+    lowlink equals its index); the component is then every vertex opened
+    since.  Otherwise its parent ORs it into its own.
 
     On a :func:`rotation_invariant` digraph (a circulant) the result is
     read off vertex 0.  Its edges are v -> v + j for the shifts j of
@@ -228,101 +247,82 @@ def strong_components(d):
     0..g-1, which is the order given here.
     """
     n = d.n
-    # vertices 0 and 1 of a circulant share one in- and out-degree: a
-    # cheap test that spares most other digraphs their bit rows
-    alike = n < 2 or len(d.out_adj[0]) == len(d.out_adj[1]) == len(d.in_adj[0])
-    if alike and rotation_invariant(d.out_rows()):
+    out_rows = d.out_rows()
+    if rotation_invariant(out_rows):
         g = gcd(n, *d.out_adj[0]) if n else 0
         return SccResult(
             tuple([tuple(range(i, n, g)) for i in range(g)]),
             Digraph(g),
             tuple([v % g for v in range(n)]),
         )
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
+    every = (1 << n) - 1
+    visited = opened = 0
+    work = []  # frames [vertex, opened before it, OR of its subtree's out-rows]
     comps = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(sorted(d.out_adj[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(sorted(d.out_adj[w]))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(tuple(sorted(comp)))
     comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
     cond_edges = set()
-    for u in range(n):
-        for v in d.out_adj[u]:
-            if comp_of[u] != comp_of[v]:
-                cond_edges.add((comp_of[u], comp_of[v]))
+    while work or visited != every:
+        fresh = (out_rows[work[-1][0]] if work else every) & ~visited
+        if fresh:
+            low = fresh & -fresh
+            v = low.bit_length() - 1
+            work.append([v, opened, out_rows[v]])
+            visited |= low
+            opened |= low
+            continue
+        _, before, reach = work.pop()
+        if reach & before:
+            work[-1][2] |= reach
+            continue
+        comp = opened ^ before
+        opened = before
+        members = []
+        rest = comp
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            members.append(w)
+            comp_of[w] = len(comps)
+        # the rest of the reach lies in components already emitted
+        rest = reach & ~comp
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cond_edges.add((len(comps), comp_of[low.bit_length() - 1]))
+        comps.append(tuple(members))
     return SccResult(tuple(comps), Digraph(len(comps), cond_edges), tuple(comp_of))
 
 
 def girth(d):
     """Length of a shortest directed cycle, or None if acyclic.
 
-    A breadth-first search from each vertex v finds the shortest cycle
-    through v.  On a :func:`rotation_invariant` digraph every vertex is
-    a rotation of vertex 0, so its search alone suffices.
+    From each start v a walk over layers of bit rows: layer k holds the
+    vertices at distance k from v, and the shortest cycle through v has
+    length k + 1 for the first k whose layer has an edge back to v.  A
+    walk stops once no cycle shorter than the best so far can close, and
+    the whole search stops at 2.  On a :func:`rotation_invariant` digraph
+    every vertex is a rotation of vertex 0, so its walk alone suffices.
     """
-    if d.bidirectional_pairs():
-        return 2
-    best = None
+    out_rows = d.out_rows()
     starts = range(d.n)
-    if rotation_invariant(d.out_rows()):
+    if rotation_invariant(out_rows):
         starts = starts[:1]
+    best = d.n + 1  # longer than any cycle
     for v in starts:
-        dist = {v: 0}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in d.out_adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        for u in d.in_adj[v]:
-            if u in dist:
-                cand = dist[u] + 1
-                if best is None or cand < best:
-                    best = cand
-    return best
+        seen = frontier = 1 << v
+        length = 1  # the cycles this layer's rows can close
+        while frontier and length < best:
+            grow = _row_union(out_rows, frontier)
+            if grow >> v & 1:
+                best = length
+                break
+            frontier = grow & ~seen
+            seen |= grow
+            length += 1
+        if best == 2:
+            break
+    return best if best <= d.n else None
 
 
 def is_acyclic(d):
@@ -341,13 +341,7 @@ def topological_order(out_rows, mask):
     """
     order = []
     while mask:
-        entered = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            entered |= out_rows[low.bit_length() - 1]
-        ready = mask & ~entered
+        ready = mask & ~_row_union(out_rows, mask)
         if not ready:
             return None
         mask ^= ready
@@ -369,12 +363,7 @@ def reachable(rows, frontier, within=-1):
     """
     seen = frontier
     while frontier:
-        grow = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            grow |= rows[low.bit_length() - 1]
-        frontier = grow & within & ~seen
+        frontier = _row_union(rows, frontier) & within & ~seen
         seen |= frontier
     return seen
 
@@ -606,11 +595,10 @@ def clique_partition_number(d):
     if n == 0:
         return CliquePartitionResult(0, (), True)
     full = (1 << n) - 1
-    bidir_rows = [0] * n
-    for u, v in d.bidirectional_pairs():
-        bidir_rows[u] |= 1 << v
-        bidir_rows[v] |= 1 << u
-    comp_rows = [full & ~bidir_rows[v] & ~(1 << v) for v in range(n)]
+    comp_rows = [
+        full & ~(out_row & in_row) & ~(1 << v)
+        for v, (out_row, in_row) in enumerate(zip(d.out_rows(), d.in_rows()))
+    ]
     greedy = _search.greedy_dsatur(comp_rows, n)
     lower = _search.max_clique_size_lower(comp_rows, n)
     count, coloring, exact = _search.exact_chromatic(

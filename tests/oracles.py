@@ -11,7 +11,8 @@ import itertools
 import math
 
 from guessnum import _search
-from guessnum.digraph import Digraph, MasResult, gf2_rank
+from guessnum import digraph as dg
+from guessnum.digraph import Digraph, MasResult, SccResult, gf2_rank
 from guessnum.errors import BadParams, SizeGuard
 from guessnum.gf_linear import GfMatrix
 from guessnum.guessing_graph import _mask_to_set, coordinate_masks, decode, encode
@@ -135,6 +136,123 @@ def brute_girth(d):
             if all(d.has_edge(vs[i], vs[(i + 1) % k]) for i in range(k)):
                 return k
     return None
+
+
+def tarjan_components(d):
+    """Tarjan's search with index, lowlink and on-stack arrays, the
+    reference for ``strong_components``; circulants, unless
+    ``digraph.rotation_invariant`` is patched, are read off vertex 0."""
+    n = d.n
+    alike = n < 2 or len(d.out_adj[0]) == len(d.out_adj[1]) == len(d.in_adj[0])
+    if alike and dg.rotation_invariant(d.out_rows()):
+        g = math.gcd(n, *d.out_adj[0]) if n else 0
+        return SccResult(
+            tuple([tuple(range(i, n, g)) for i in range(g)]),
+            Digraph(g),
+            tuple([v % g for v in range(n)]),
+        )
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comps = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, iter(sorted(d.out_adj[root])))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(sorted(d.out_adj[w]))))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(tuple(sorted(comp)))
+    comp_of = [0] * n
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+    cond_edges = set()
+    for u in range(n):
+        for v in d.out_adj[u]:
+            if comp_of[u] != comp_of[v]:
+                cond_edges.add((comp_of[u], comp_of[v]))
+    return SccResult(tuple(comps), Digraph(len(comps), cond_edges), tuple(comp_of))
+
+
+def bfs_girth(d):
+    """Shortest directed cycle by a breadth-first search with a distance
+    dict from every vertex; None if acyclic."""
+    if d.bidirectional_pairs():
+        return 2
+    best = None
+    for v in range(d.n):
+        dist = {v: 0}
+        frontier = [v]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in d.out_adj[u]:
+                    if w not in dist:
+                        dist[w] = dist[u] + 1
+                        nxt.append(w)
+            frontier = nxt
+        for u in d.in_adj[v]:
+            if u in dist:
+                cand = dist[u] + 1
+                if best is None or cand < best:
+                    best = cand
+    return best
+
+
+def pair_clique_partition(d):
+    """``clique_partition_number`` with its bidirectional rows built from
+    ``bidirectional_pairs()``."""
+    n = d.n
+    if n == 0:
+        return dg.CliquePartitionResult(0, (), True)
+    full = (1 << n) - 1
+    bidir_rows = [0] * n
+    for u, v in d.bidirectional_pairs():
+        bidir_rows[u] |= 1 << v
+        bidir_rows[v] |= 1 << u
+    comp_rows = [full & ~bidir_rows[v] & ~(1 << v) for v in range(n)]
+    greedy = _search.greedy_dsatur(comp_rows, n)
+    lower = _search.max_clique_size_lower(comp_rows, n)
+    count, coloring, exact = _search.exact_chromatic(
+        comp_rows, n, lower, greedy, node_budget=dg.DEFAULT_PARTITION_BUDGET
+    )
+    parts = [[] for _ in range(count)]
+    for v, c in enumerate(coloring):
+        parts[c].append(v)
+    parts = tuple([tuple(p) for p in sorted(parts)])
+    return dg.CliquePartitionResult(count, parts, exact)
 
 
 def mutual_reach_classes(d):

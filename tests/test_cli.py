@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from guessnum import cli, cyclic, digraph as dg, netcode
@@ -39,14 +41,14 @@ class TestCommands:
         witness = str(files["tmp"] / "fix.txt")
         code, out = run(capsys, "guess", files["k3"], "-s", "2", "--witness", witness)
         assert code == 0
-        codes = [int(line) for line in open(witness).read().split()]
+        codes = [int(line) for line in pathlib.Path(witness).read_text().split()]
         assert codes == [0, 3, 5, 6]
 
     def test_guess_protocol_tables(self, files, capsys):
         proto = str(files["tmp"] / "proto.txt")
         code, _ = run(capsys, "guess", files["k3"], "-s", "2", "--protocol", proto)
         assert code == 0
-        text = open(proto).read().splitlines()
+        text = pathlib.Path(proto).read_text().splitlines()
         assert text[0] == "n 3 s 2"
         assert text[1] == "0: 1,2 | 0110"
 
@@ -58,13 +60,13 @@ class TestCommands:
         code, out = run(capsys, "guess", pairs, "-s", "2", "--protocol", proto)
         assert code == 0
         assert f"protocol_path={proto}" in out
-        text = open(proto).read().splitlines()
+        text = pathlib.Path(proto).read_text().splitlines()
         assert text[:3] == ["n 34 s 2", "0: 1 | 01", "1: 0 | 01"]
         # the 2^17 fixed codes are listed one 2-cycle at a time, not
         # over all 2^34 configurations: both ends of each cycle agree
         code, _ = run(capsys, "guess", pairs, "-s", "2", "--witness", proto + ".w")
         assert code == 0
-        codes = [int(line) for line in open(proto + ".w").read().split()]
+        codes = [int(line) for line in pathlib.Path(proto + ".w").read_text().split()]
         assert len(codes) == 2**17 and codes[:4] == [0, 3, 12, 15]
         even = sum(1 << u for u in range(0, 34, 2))
         assert codes == sorted(codes)

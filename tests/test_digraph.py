@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from guessnum.errors import BadParams, LoopEdge, VertexOutOfRange
 
 from oracles import (
     all_digraphs,
+    bfs_girth,
     bfs_mas_search,
     bfs_reachable,
     brute_girth,
@@ -16,8 +18,10 @@ from oracles import (
     brute_rank_gf2,
     digraphs_up_to_isomorphism,
     induces_acyclic,
+    pair_clique_partition,
     random_digraph,
     scan_greedy_acyclic_set,
+    tarjan_components,
     union_find_roots,
     weak_components,
 )
@@ -227,6 +231,83 @@ class TestWalks:
                 groups[r] = groups.get(r, 0) | 1 << v
             assert sorted(comps) == sorted(groups.values())
             assert sorted(comps) == sorted(sum(1 << v for v in c) for c in weak_components(d))
+
+
+class TestTarjanAndGirth:
+    """Tarjan's search and the girth walk on bit rows against Tarjan's
+    per-vertex arrays and breadth-first searches with distance dicts."""
+
+    def test_strong_components_on_every_small_digraph(self):
+        checked = 0
+        for n in range(5):
+            for d in all_digraphs(n):
+                assert dg.strong_components(d) == tarjan_components(d)
+                checked += 1
+        assert checked == 4166
+
+    def test_strong_components_on_random_digraphs(self):
+        rng = random.Random(71)
+        counts = set()
+        for _ in range(2000):
+            d = random_digraph(rng, rng.randint(1, 16), p=rng.choice([0.05, 0.1, 0.15, 0.25]))
+            scc = dg.strong_components(d)
+            assert scc == tarjan_components(d)
+            counts.add(len(scc.components))
+        assert len(counts) > 10
+
+    def test_strong_components_on_circulants_without_the_shortcut(self, monkeypatch):
+        monkeypatch.setattr(dg, "rotation_invariant", lambda out_rows: False)
+        for n in range(1, 13):
+            for k in range(n):
+                for shifts in itertools.combinations(range(1, n), k):
+                    d = dg.Digraph(n, [(v, (v + j) % n) for v in range(n) for j in shifts])
+                    assert dg.strong_components(d) == tarjan_components(d)
+
+    def test_girth_against_brute_force(self):
+        for n in range(5):
+            for d in all_digraphs(n):
+                assert dg.girth(d) == brute_girth(d)
+        rng = random.Random(72)
+        for _ in range(3000):
+            d = random_digraph(rng, rng.randint(1, 7), p=rng.choice([0.1, 0.2, 0.3, 0.5]))
+            assert dg.girth(d) == brute_girth(d)
+
+    def test_girth_against_breadth_first_search(self):
+        rng = random.Random(73)
+        girths = set()
+        for _ in range(2000):
+            d = random_digraph(rng, rng.randint(1, 16), p=rng.choice([0.03, 0.06, 0.1, 0.2]))
+            girths.add(dg.girth(d))
+            assert dg.girth(d) == bfs_girth(d)
+        assert {None, 2, 3, 4, 5} <= girths
+
+    def test_girth_walks_only_layers_that_can_close_a_shorter_cycle(self, monkeypatch):
+        monkeypatch.setattr(dg, "rotation_invariant", lambda out_rows: False)
+        reads = []
+
+        class Rows(list):
+            def __getitem__(self, v):
+                reads.append(v)
+                return list.__getitem__(self, v)
+
+        class Recorded(dg.Digraph):
+            def out_rows(self):
+                return Rows(super().out_rows())
+
+        # a triangle, then a 4-cycle: after the triangle every walk
+        # stops at its second layer
+        d = Recorded(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)])
+        assert dg.girth(d) == 3
+        assert reads == [0, 1, 2, 1, 2, 2, 0, 3, 4, 4, 5, 5, 6, 6, 3]
+        # a 2-cycle ends the whole search
+        reads.clear()
+        assert dg.girth(Recorded(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)])) == 2
+        assert reads == [0, 1]
+
+    def test_clique_partition_on_every_small_digraph(self):
+        for n in range(5):
+            for d in all_digraphs(n):
+                assert dg.clique_partition_number(d) == pair_clique_partition(d)
 
 
 class TestMas:
