@@ -1,8 +1,9 @@
 """Simple directed graphs and the combinators used throughout the toolkit.
 
-Vertices are dense integers ``0..n-1``.  Digraphs are immutable once
-constructed; every combinator returns a fresh object.  Bidirectional edges
-are allowed, loops and repeated edges are not.
+Vertices are dense integers ``0..n-1``.  A digraph is its out- and
+in-bit rows, one int per vertex, and is immutable once constructed; every
+combinator returns a fresh object.  Bidirectional edges are allowed, loops
+are not, and repeated edges collapse.
 
 Index conventions used by the combinators (cross-module tests rely on
 them):
@@ -26,89 +27,92 @@ DEFAULT_PARTITION_BUDGET = 1 << 22
 
 
 class Digraph:
-    """Immutable simple digraph with mirrored in/out adjacency sets."""
+    """Immutable simple digraph stored as its out- and in-bit rows: bit v
+    of ``out_rows()[u]`` and bit u of ``in_rows()[v]`` are set exactly
+    when u -> v is an edge."""
 
-    __slots__ = ("n", "out_adj", "in_adj")
+    __slots__ = ("n", "_out_rows", "_in_rows")
 
     def __init__(self, n, edges=()):
         if n < 0:
             raise BadParams("vertex count must be non-negative")
-        out_adj = [set() for _ in range(n)]
-        in_adj = [set() for _ in range(n)]
+        out_rows = [0] * n
+        in_rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
             if u == v:
                 raise LoopEdge(f"loop at vertex {u} rejected")
-            out_adj[u].add(v)
-            in_adj[v].add(u)
+            out_rows[u] |= 1 << v
+            in_rows[v] |= 1 << u
         self.n = n
-        # the package builds its tuples from lists: CPython builds a tuple
-        # from a generator at a guessed size and resizes it, so it never
-        # takes a freed tuple of its final size, yet it is kept for one
-        # once freed; that free list then grows until a full garbage
-        # collection empties it
-        self.out_adj = tuple([frozenset(s) for s in out_adj])
-        self.in_adj = tuple([frozenset(s) for s in in_adj])
+        self._out_rows = tuple(out_rows)
+        self._in_rows = tuple(in_rows)
 
     # -- basic queries -------------------------------------------------
 
     def edges(self):
         """Sorted list of all edges as (u, v) pairs."""
-        return [(u, v) for u in range(self.n) for v in sorted(self.out_adj[u])]
+        return [(u, v) for u, row in enumerate(self._out_rows) for v in _bits(row)]
 
     def edge_count(self):
-        return sum(len(s) for s in self.out_adj)
+        return sum(row.bit_count() for row in self._out_rows)
 
     def has_edge(self, u, v):
-        return v in self.out_adj[u]
+        return self._out_rows[u] >> v & 1 == 1
 
     def in_degree(self, v):
-        return len(self.in_adj[v])
+        return self._in_rows[v].bit_count()
 
     def out_degree(self, v):
-        return len(self.out_adj[v])
+        return self._out_rows[v].bit_count()
 
     def out_rows(self):
-        """Out-adjacency as one bitmask int per vertex."""
-        return _bit_rows(self.out_adj)
+        """Out-adjacency as one bitmask int per vertex (a shared tuple)."""
+        return self._out_rows
 
     def in_rows(self):
-        return _bit_rows(self.in_adj)
+        return self._in_rows
+
+    def out_neighbours(self, v):
+        """The out-neighbours of ``v``, ascending."""
+        return _bits(self._out_rows[v])
+
+    def in_neighbours(self, v):
+        """The in-neighbours of ``v``, ascending."""
+        return _bits(self._in_rows[v])
 
     def bidirectional_pairs(self):
         """Unordered pairs joined by edges in both directions."""
         return [
             (u, v)
-            for u in range(self.n)
-            for v in sorted(self.out_adj[u])
-            if u < v and u in self.out_adj[v]
+            for u, (row, back) in enumerate(zip(self._out_rows, self._in_rows))
+            for v in _bits(row & back)
+            if u < v
         ]
 
     def __eq__(self, other):
         return (
             isinstance(other, Digraph)
             and self.n == other.n
-            and self.out_adj == other.out_adj
+            and self._out_rows == other._out_rows
         )
 
     def __hash__(self):
-        return hash((self.n, self.out_adj))
+        return hash((self.n, self._out_rows))
 
     def __repr__(self):
         return f"Digraph(n={self.n}, edges={self.edge_count()})"
 
 
-def _bit_rows(sets):
-    # a plain loop: a few times faster than sum() over a generator on the
-    # small sets of most digraphs
-    rows = []
-    for members in sets:
-        row = 0
-        for v in members:
-            row |= 1 << v
-        rows.append(row)
-    return rows
+def _bits(mask):
+    """The set bits of ``mask`` as an ascending tuple of positions."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def from_edge_list(n, edges):
@@ -249,7 +253,7 @@ def strong_components(d):
     n = d.n
     out_rows = d.out_rows()
     if rotation_invariant(out_rows):
-        g = gcd(n, *d.out_adj[0]) if n else 0
+        g = gcd(n, *_bits(out_rows[0])) if n else 0
         return SccResult(
             tuple([tuple(range(i, n, g)) for i in range(g)]),
             Digraph(g),
@@ -276,21 +280,13 @@ def strong_components(d):
             continue
         comp = opened ^ before
         opened = before
-        members = []
-        rest = comp
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            w = low.bit_length() - 1
-            members.append(w)
+        members = _bits(comp)
+        for w in members:
             comp_of[w] = len(comps)
         # the rest of the reach lies in components already emitted
-        rest = reach & ~comp
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            cond_edges.add((len(comps), comp_of[low.bit_length() - 1]))
-        comps.append(tuple(members))
+        for w in _bits(reach & ~comp):
+            cond_edges.add((len(comps), comp_of[w]))
+        comps.append(members)
     return SccResult(tuple(comps), Digraph(len(comps), cond_edges), tuple(comp_of))
 
 
@@ -345,10 +341,7 @@ def topological_order(out_rows, mask):
         if not ready:
             return None
         mask ^= ready
-        while ready:
-            low = ready & -ready
-            ready ^= low
-            order.append(low.bit_length() - 1)
+        order += _bits(ready)
     return order
 
 
@@ -387,7 +380,7 @@ def structure_report(d, scc=None):
     n = d.n
     in_degs = [d.in_degree(v) for v in range(n)]
     out_degs = [d.out_degree(v) for v in range(n)]
-    bidir = len(d.bidirectional_pairs())
+    bidir = sum((o & i).bit_count() for o, i in zip(d.out_rows(), d.in_rows())) // 2
     m = d.edge_count()
     tournament = n >= 1 and bidir == 0 and m == n * (n - 1) // 2
     if scc is None:
@@ -416,7 +409,7 @@ def induced_subdigraph(d, vertices):
     vs = sorted(set(vertices))
     pos = {v: i for i, v in enumerate(vs)}
     edges = [
-        (pos[u], pos[v]) for u in vs for v in d.out_adj[u] if v in pos
+        (pos[u], pos[v]) for u in vs for v in d.out_neighbours(u) if v in pos
     ]
     return Digraph(len(vs), edges), tuple(vs)
 
@@ -663,11 +656,11 @@ def strong_product(d1, d2):
     for u1 in range(n1):
         for u2 in range(n2):
             src = u1 * n2 + u2
-            for v2 in d2.out_adj[u2]:
+            for v2 in d2.out_neighbours(u2):
                 edges.append((src, u1 * n2 + v2))
-            for v1 in d1.out_adj[u1]:
+            for v1 in d1.out_neighbours(u1):
                 edges.append((src, v1 * n2 + u2))
-                for v2 in d2.out_adj[u2]:
+                for v2 in d2.out_neighbours(u2):
                     edges.append((src, v1 * n2 + v2))
     prod = Digraph(n1 * n2, edges)
     if n1 * n2 <= 128:
@@ -676,8 +669,8 @@ def strong_product(d1, d2):
                 for v1 in range(n1):
                     for v2 in range(n2):
                         expect = (
-                            (v1 == u1 or v1 in d1.out_adj[u1])
-                            and (v2 == u2 or v2 in d2.out_adj[u2])
+                            (v1 == u1 or d1.has_edge(u1, v1))
+                            and (v2 == u2 or d2.has_edge(u2, v2))
                             and not (v1 == u1 and v2 == u2)
                         )
                         got = prod.has_edge(u1 * n2 + u2, v1 * n2 + v2)
@@ -776,14 +769,10 @@ def read_digraph(path):
 def to_dot(d, name="D"):
     """DOT export; a bidirectional pair becomes one edge with dir=both."""
     lines = [f"digraph {name} {{"]
-    seen_bidir = set()
     for u, v in d.edges():
-        if u in d.out_adj[v]:
-            if (min(u, v), max(u, v)) in seen_bidir:
-                continue
-            seen_bidir.add((min(u, v), max(u, v)))
-            lines.append(f"  {min(u, v)} -> {max(u, v)} [dir=both];")
-        else:
+        if not d.has_edge(v, u):
             lines.append(f"  {u} -> {v};")
+        elif u < v:
+            lines.append(f"  {u} -> {v} [dir=both];")
     lines.append("}")
     return "\n".join(lines) + "\n"

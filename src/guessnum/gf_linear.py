@@ -275,7 +275,7 @@ def _fixed_basis(d, p, coeffs):
     for (u, v), c in coeffs.items():
         rows[u][v] -= c
     basis = _dependencies(p, n, [_as_row(p, row) for row in rows])
-    local = [[(u, coeffs.get((u, v), 0)) for u in d.in_adj[v]] for v in range(n)]
+    local = [[(u, coeffs.get((u, v), 0)) for u in d.in_neighbours(v)] for v in range(n)]
     for vec in basis:
         for v in range(n):
             if sum(c * vec[u] for u, c in local[v]) % p != vec[v]:
@@ -502,7 +502,7 @@ def _min_rank_exhaustive(d, p, budget, floor=0, ceiling=None):
     chosen so far and keeps it when it is independent.
     """
     n = d.n
-    outs = [sorted(d.out_adj[v]) for v in range(n)]
+    outs = [d.out_neighbours(v) for v in range(n)]
     out_rows = d.out_rows()
     if p ** d.edge_count() > budget:
         raise BadParams("pattern space exceeds budget")

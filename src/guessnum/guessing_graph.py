@@ -141,7 +141,7 @@ class GuessingGraph:
         for i in range(self.n):
             if xs[i] == ys[i]:
                 continue
-            if all(xs[j] == ys[j] for j in self.digraph.in_adj[i]):
+            if all(xs[j] == ys[j] for j in self.digraph.in_neighbours(i)):
                 return True
         return False
 
@@ -159,7 +159,7 @@ class GuessingGraph:
         row = 0
         for i in range(self.n):
             agree = every_bit
-            for j in self.digraph.in_adj[i]:
+            for j in self.digraph.in_neighbours(i):
                 agree &= masks[j][xs[j]]
             row |= agree & ~masks[i][xs[i]]
         return row
@@ -193,12 +193,7 @@ class GuessingGraph:
 
 
 def _mask_to_set(mask):
-    out = set()
-    while mask:
-        low = mask & -mask
-        out.add(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return set(dg._bits(mask))
 
 
 def materialize(digraph, s, guard=DEFAULT_GUARD):
@@ -351,10 +346,7 @@ def write_edge_list(handle, path=None):
     lines = [f"# configs={handle.n_configs} n={handle.n} s={handle.s}"]
     for x in range(handle.n_configs):
         mask = handle.rows[x] & ~((1 << (x + 1)) - 1)
-        while mask:
-            low = mask & -mask
-            lines.append(f"{x} {low.bit_length() - 1}")
-            mask ^= low
+        lines += [f"{x} {y}" for y in dg._bits(mask)]
     text = "\n".join(lines) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -57,7 +57,7 @@ class Protocol:
 
 
 def _protocol_inputs(d):
-    return tuple([tuple(sorted(d.in_adj[v])) for v in range(d.n)])
+    return tuple([d.in_neighbours(v) for v in range(d.n)])
 
 
 def protocol_to_text(protocol):
@@ -174,7 +174,7 @@ def fixed_configurations(d, s, protocol, guard=DEFAULT_GUARD):
     if len(protocol.inputs) != d.n or len(protocol.tables) != d.n:
         raise BadParams("protocol needs one input list and one table per vertex")
     for v, (ins, table) in enumerate(zip(protocol.inputs, protocol.tables)):
-        if list(ins) != sorted(d.in_adj[v].intersection(ins)):
+        if list(ins) != [u for u in d.in_neighbours(v) if u in ins]:
             raise BadParams(f"vertex {v} must read a sorted subset of its in-neighbours")
         if len(table) != s ** len(ins) or min(table) < 0 or max(table) >= s:
             raise BadParams(f"table of vertex {v} needs s^{len(ins)} symbols in [0, {s})")
@@ -264,7 +264,7 @@ def _linear_seed_codes(handle):
     fixed = every_bit
     for v in range(d.n):
         residues = [every_bit] + [0] * (s - 1)
-        for u in d.in_adj[v]:
+        for u in d.in_neighbours(v):
             folded = [0] * s
             for r, part in enumerate(residues):
                 if part:

@@ -37,7 +37,7 @@ def brute_adjacent(d, s, x, y):
         return False
     xs, ys = decode(x, d.n, s), decode(y, d.n, s)
     for i in range(d.n):
-        if xs[i] != ys[i] and all(xs[j] == ys[j] for j in d.in_adj[i]):
+        if xs[i] != ys[i] and all(xs[j] == ys[j] for j in d.in_neighbours(i)):
             return True
     return False
 
@@ -59,7 +59,7 @@ def inclusion_exclusion_degree(d, s):
         for vs in itertools.combinations(range(d.n), k):
             if any(d.has_edge(u, v) for u in vs for v in vs):
                 continue
-            in_nbhd = set().union(*(d.in_adj[v] for v in vs))
+            in_nbhd = set().union(*(d.in_neighbours(v) for v in vs))
             total += (-1) ** (k - 1) * (s - 1) ** k * s ** (d.n - len(in_nbhd) - k)
     return total
 
@@ -143,9 +143,10 @@ def tarjan_components(d):
     reference for ``strong_components``; circulants, unless
     ``digraph.rotation_invariant`` is patched, are read off vertex 0."""
     n = d.n
-    alike = n < 2 or len(d.out_adj[0]) == len(d.out_adj[1]) == len(d.in_adj[0])
+    alike = n < 2 or (
+        len(d.out_neighbours(0)) == len(d.out_neighbours(1)) == len(d.in_neighbours(0)))
     if alike and dg.rotation_invariant(d.out_rows()):
-        g = math.gcd(n, *d.out_adj[0]) if n else 0
+        g = math.gcd(n, *d.out_neighbours(0)) if n else 0
         return SccResult(
             tuple([tuple(range(i, n, g)) for i in range(g)]),
             Digraph(g),
@@ -160,7 +161,7 @@ def tarjan_components(d):
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, iter(sorted(d.out_adj[root])))]
+        work = [(root, iter(d.out_neighbours(root)))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -174,7 +175,7 @@ def tarjan_components(d):
                     counter += 1
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, iter(sorted(d.out_adj[w]))))
+                    work.append((w, iter(d.out_neighbours(w))))
                     advanced = True
                     break
                 if on_stack[w]:
@@ -200,7 +201,7 @@ def tarjan_components(d):
             comp_of[v] = ci
     cond_edges = set()
     for u in range(n):
-        for v in d.out_adj[u]:
+        for v in d.out_neighbours(u):
             if comp_of[u] != comp_of[v]:
                 cond_edges.add((comp_of[u], comp_of[v]))
     return SccResult(tuple(comps), Digraph(len(comps), cond_edges), tuple(comp_of))
@@ -218,12 +219,12 @@ def bfs_girth(d):
         while frontier:
             nxt = []
             for u in frontier:
-                for w in d.out_adj[u]:
+                for w in d.out_neighbours(u):
                     if w not in dist:
                         dist[w] = dist[u] + 1
                         nxt.append(w)
             frontier = nxt
-        for u in d.in_adj[v]:
+        for u in d.in_neighbours(v):
             if u in dist:
                 cand = dist[u] + 1
                 if best is None or cand < best:
@@ -261,7 +262,7 @@ def mutual_reach_classes(d):
     for v in range(d.n):
         seen, todo = {v}, [v]
         while todo:
-            for w in d.out_adj[todo.pop()]:
+            for w in d.out_neighbours(todo.pop()):
                 if w not in seen:
                     seen.add(w)
                     todo.append(w)
@@ -374,13 +375,13 @@ def brute_exterior_classes(d, s, vertices, candidates):
 def induces_acyclic(d, vertices):
     """Kahn's algorithm on the induced subgraph."""
     inside = set(vertices)
-    indeg = {v: sum(1 for u in d.in_adj[v] if u in inside) for v in inside}
+    indeg = {v: sum(1 for u in d.in_neighbours(v) if u in inside) for v in inside}
     ready = [v for v in inside if indeg[v] == 0]
     seen = 0
     while ready:
         v = ready.pop()
         seen += 1
-        for w in d.out_adj[v]:
+        for w in d.out_neighbours(v):
             if w in inside:
                 indeg[w] -= 1
                 if indeg[w] == 0:
@@ -496,7 +497,7 @@ def unpruned_min_rank(d, p, budget, floor=0):
     A, like :func:`brute_min_rank`, at sizes the listing cannot reach.
     """
     n = d.n
-    outs = [sorted(d.out_adj[v]) for v in range(n)]
+    outs = [d.out_neighbours(v) for v in range(n)]
     if p ** d.edge_count() > budget:
         raise BadParams("pattern space exceeds budget")
     best = [n + 1, None]
@@ -678,7 +679,7 @@ def full_support_matrix(d, p):
     return GfMatrix(
         [
             [
-                ((1 if i == j else 0) - (1 if i in d.in_adj[j] else 0)) % p
+                ((1 if i == j else 0) - (1 if i in d.in_neighbours(j) else 0)) % p
                 for i in range(d.n)
             ]
             for j in range(d.n)
@@ -691,7 +692,7 @@ def identity_plus(d, p=2):
     """I + A over GF(p) for the adjacency matrix A of d."""
     return GfMatrix(
         [
-            [(1 if i == j else 0) + (1 if j in d.out_adj[i] else 0) for j in range(d.n)]
+            [(1 if i == j else 0) + (1 if j in d.out_neighbours(i) else 0) for j in range(d.n)]
             for i in range(d.n)
         ],
         p,

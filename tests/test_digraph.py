@@ -28,12 +28,11 @@ from oracles import (
 
 
 def check_mirror(d):
+    """Bit v of out-row u is bit u of in-row v."""
+    out_rows, in_rows = d.out_rows(), d.in_rows()
     for u in range(d.n):
-        for v in d.out_adj[u]:
-            assert u in d.in_adj[v]
-    for v in range(d.n):
-        for u in d.in_adj[v]:
-            assert v in d.out_adj[u]
+        for v in range(d.n):
+            assert out_rows[u] >> v & 1 == in_rows[v] >> u & 1
 
 
 class TestConstruction:
@@ -88,6 +87,25 @@ class TestConstruction:
         rng = random.Random(7)
         for _ in range(50):
             check_mirror(random_digraph(rng, rng.randint(0, 8)))
+
+    def test_rows_are_the_representation(self):
+        for n in range(5):
+            for d in all_digraphs(n):
+                out_rows, in_rows = d.out_rows(), d.in_rows()
+                # shared and immutable: a caller cannot edit a digraph's rows
+                assert type(out_rows) is tuple and type(in_rows) is tuple
+                assert d.out_rows() is out_rows and d.in_rows() is in_rows
+                for rows in (out_rows, in_rows):
+                    with pytest.raises(TypeError):
+                        rows[0] = 0
+                check_mirror(d)
+                for v in range(n):
+                    for got, row in ((d.out_neighbours(v), out_rows[v]),
+                                     (d.in_neighbours(v), in_rows[v])):
+                        assert got == tuple(w for w in range(n) if row >> w & 1)
+                edges = d.edges()
+                twice = dg.Digraph(n, edges + edges[::-1])
+                assert twice == d and hash(twice) == hash(d)
 
 
 class TestStructure:
@@ -160,7 +178,7 @@ def check_order(d, mask, order):
     assert sorted(order) == [v for v in range(d.n) if mask >> v & 1]
     position = {v: i for i, v in enumerate(order)}
     for u in order:
-        for v in d.out_adj[u]:
+        for v in d.out_neighbours(u):
             if v in position:
                 assert position[u] < position[v]
 
@@ -225,7 +243,7 @@ class TestWalks:
             assert all(a & b == 0 for i, a in enumerate(comps) for b in comps[i + 1:])
             lowest = [c & -c for c in comps]
             assert lowest == sorted(lowest)
-            roots = union_find_roots(n, [tuple(d.in_adj[v]) for v in range(n)])
+            roots = union_find_roots(n, [d.in_neighbours(v) for v in range(n)])
             groups = {}
             for v, r in enumerate(roots):
                 groups[r] = groups.get(r, 0) | 1 << v
@@ -565,8 +583,8 @@ class TestCombinators:
         d = dg.k_expand(base, k)
         for v in range(base.n):
             for i in range(k):
-                expect = {u * k + j for u in base.in_adj[v] for j in range(k)}
-                assert d.in_adj[v * k + i] == expect
+                expect = {u * k + j for u in base.in_neighbours(v) for j in range(k)}
+                assert set(d.in_neighbours(v * k + i)) == expect
 
     def test_ring_of_two_triangles(self):
         d = dg.cycle_power_ring(3, 1, 2)
@@ -638,6 +656,18 @@ class TestTextFormats:
         path = tmp_path / "k3.dg"
         dg.write_digraph(d, path)
         assert dg.read_digraph(path) == d
+
+    def test_full_text_and_dot(self):
+        d = dg.Digraph(4, [(3, 2), (0, 1), (1, 2), (2, 3), (1, 0), (3, 0)])
+        assert dg.to_text(d) == "4\n0 1\n1 0\n1 2\n2 3\n3 0\n3 2\n"
+        assert dg.to_dot(d, "G") == (
+            "digraph G {\n"
+            "  0 -> 1 [dir=both];\n"
+            "  1 -> 2;\n"
+            "  2 -> 3 [dir=both];\n"
+            "  3 -> 0;\n"
+            "}\n"
+        )
 
     def test_dot_merges_bidirectional(self):
         dot = dg.to_dot(dg.clique(2))

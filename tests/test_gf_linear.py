@@ -141,7 +141,7 @@ class TestParityCheck:
             for code in res.basis:
                 bits = [(code >> v) & 1 for v in range(d.n)]
                 for v in range(d.n):
-                    assert bits[v] == sum(bits[u] for u in d.in_adj[v]) % 2
+                    assert bits[v] == sum(bits[u] for u in d.in_neighbours(v)) % 2
 
 
 class TestLinearGuessingNumber:
@@ -438,7 +438,7 @@ class TestPruneBound:
         mas = [max(m.bit_count() for m in acyclic if m & ~u == 0) for u in range(1 << n)]
         choices = []
         for v in range(n):
-            outs = sorted(d.out_adj[v])
+            outs = d.out_neighbours(v)
             rows = []
             for combo in itertools.product(range(p), repeat=len(outs)):
                 row = [int(j == v) for j in range(n)]

@@ -283,7 +283,7 @@ def walked_sets(d, comp):
     for k in range(1, len(comp) + 1):
         for vs in itertools.combinations(sorted(comp), k):
             if closed:
-                count += all(d.in_adj[v] & set(vs) for v in vs)
+                count += all(set(d.in_neighbours(v)) & set(vs) for v in vs)
             elif lowest is None or lowest in vs:
                 count += not any(d.has_edge(u, v) for u in vs for v in vs)
     return count

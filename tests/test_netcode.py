@@ -224,7 +224,7 @@ class TestSolvability:
             big.edges + (("sa", "za"), ("za", "ta")),
         )
         merged, _ = netcode.to_guessing_digraph(inst)
-        inputs = tuple(tuple(sorted(merged.in_adj[v])) for v in range(merged.n))
+        inputs = tuple(merged.in_neighbours(v) for v in range(merged.n))
         zero = tuple((0,) * 2 ** len(ins) for ins in inputs)
         copy = list(zero)
         copy[inst.n_pairs - 1] = copy[merged.n - 1] = (0, 1)

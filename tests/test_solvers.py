@@ -682,7 +682,7 @@ class TestLinearSeedCodes:
             masks = {n: gg.coordinate_masks(n, s) for n in range(4)}
             for n in range(4):
                 for d in all_digraphs(n):
-                    inputs = tuple(tuple(sorted(d.in_adj[v])) for v in range(n))
+                    inputs = tuple(d.in_neighbours(v) for v in range(n))
                     tables = tuple(
                         tuple(sum(w) % s for w in itertools.product(range(s), repeat=len(ins)))
                         for ins in inputs
@@ -751,13 +751,13 @@ class TestProtocols:
 
     def test_all_zero_protocol_fixes_only_zero(self):
         d = dg.cycle(4)
-        inputs = tuple(tuple(sorted(d.in_adj[v])) for v in range(4))
+        inputs = tuple(d.in_neighbours(v) for v in range(4))
         proto = solvers.Protocol(4, 2, inputs, tuple((0, 0) for _ in range(4)))
         assert solvers.fixed_configurations(d, 2, proto) == (0,)
 
     def test_copy_predecessor_fixes_constants(self):
         d = dg.cycle(3)
-        inputs = tuple(tuple(sorted(d.in_adj[v])) for v in range(3))
+        inputs = tuple(d.in_neighbours(v) for v in range(3))
         proto = solvers.Protocol(3, 2, inputs, tuple((0, 1) for _ in range(3)))
         assert solvers.fixed_configurations(d, 2, proto) == (0, 7)
 
@@ -766,7 +766,7 @@ class TestProtocols:
         for _ in range(60):
             s = rng.choice([2, 3, 4])
             d = random_digraph(rng, rng.randint(0, {2: 6, 3: 4, 4: 3}[s]))
-            inputs = tuple(tuple(sorted(d.in_adj[v])) for v in range(d.n))
+            inputs = tuple(d.in_neighbours(v) for v in range(d.n))
             tables = tuple(
                 tuple(rng.randrange(s) for _ in range(s ** len(ins))) for ins in inputs
             )
@@ -806,7 +806,7 @@ class TestProtocols:
         # the guard caps each group, not the product: a path 0 -> 1 -> 2
         # next to a 2-cycle fits a guard of 8 but not one of 4
         d = dg.Digraph(5, [(0, 1), (1, 2), (3, 4), (4, 3)])
-        inputs = tuple(tuple(sorted(d.in_adj[v])) for v in range(5))
+        inputs = tuple(d.in_neighbours(v) for v in range(5))
         proto = solvers.Protocol(5, 2, inputs, ((0,), (0, 1), (0, 1), (0, 1), (0, 1)))
         assert solvers._reading_groups(proto) == [0b00111, 0b11000]
         assert solvers.fixed_configurations(d, 2, proto, guard=8) == brute_fixed(d, 2, proto)
@@ -819,7 +819,7 @@ class TestProtocols:
         for _ in range(120):
             s = rng.choice([2, 3])
             d = random_digraph(rng, rng.randint(2, 6 if s == 2 else 4), p=0.2)
-            inputs = tuple(tuple(sorted(d.in_adj[v])) for v in range(d.n))
+            inputs = tuple(d.in_neighbours(v) for v in range(d.n))
             tables = tuple(
                 tuple(rng.randrange(s) for _ in range(s ** len(ins))) for ins in inputs
             )
