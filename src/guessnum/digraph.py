@@ -458,16 +458,14 @@ def mas_exact(d, budget=DEFAULT_MAS_BUDGET):
     valid acyclic witness).  On a :func:`rotation_invariant` digraph
     the search skips the sets without vertex 0.
     """
-    out_rows = d.out_rows()
-    transitive = rotation_invariant(out_rows)
-    return _mas_search(out_rows, (1 << d.n) - 1, budget, transitive)
+    transitive = rotation_invariant(d.out_rows())
+    return _mas_search(d, (1 << d.n) - 1, budget, transitive)
 
 
-def _mas_search(out_rows, mask, budget, transitive=False):
-    """Largest acyclic set among the vertices in the bit mask ``mask``.
+def _mas_search(d, mask, budget, transitive=False):
+    """Largest acyclic set among the vertices of ``d`` in the bit mask ``mask``.
 
-    ``out_rows`` holds each vertex's out-neighbours as a bit row.  Branch
-    and bound over subsets of ``mask`` in ascending vertex order,
+    Branch and bound over subsets of ``mask`` in ascending vertex order,
     including a vertex before excluding it, so the result equals
     :func:`mas_exact` on the induced subdigraph with its witness mapped
     back to the original ids.
@@ -502,16 +500,10 @@ def _mas_search(out_rows, mask, budget, transitive=False):
     contains 0: once the subtree that includes vertex 0 is done, the
     root's other branches are skipped.
     """
-    n = len(out_rows)
-    in_rows = [0] * n
-    for u, row in enumerate(out_rows):
-        while row:
-            low = row & -row
-            in_rows[low.bit_length() - 1] |= 1 << u
-            row ^= low
-    cap = gf2_rank(
-        [(out_rows[v] | (1 << v)) & mask for v in range(n) if mask >> v & 1]
-    )
+    n = d.n
+    out_rows = d.out_rows()
+    in_rows = d.in_rows()
+    cap = gf2_rank([(out_rows[v] | (1 << v)) & mask for v in _bits(mask)])
     best_size = 0
     best = ()
     members = []

@@ -503,7 +503,6 @@ def _min_rank_exhaustive(d, p, budget, floor=0, ceiling=None):
     """
     n = d.n
     outs = [d.out_neighbours(v) for v in range(n)]
-    out_rows = d.out_rows()
     if p ** d.edge_count() > budget:
         raise BadParams("pattern space exceeds budget")
     best_rank = (n if ceiling is None else ceiling) + 1
@@ -523,7 +522,7 @@ def _min_rank_exhaustive(d, p, budget, floor=0, ceiling=None):
         if not cut and rank + untouched.bit_count() >= best_rank:
             if untouched not in acyclic:
                 acyclic[untouched] = dg._mas_search(
-                    out_rows, untouched, dg.DEFAULT_MAS_BUDGET
+                    d, untouched, dg.DEFAULT_MAS_BUDGET
                 ).size
             cut = rank + acyclic[untouched] >= best_rank
         if not cut:

@@ -20,6 +20,7 @@ from . import digraph as dg
 from .errors import AlphabetMismatch, BadParams, SizeGuard
 
 DEFAULT_GUARD = 1 << 22
+_MATERIALIZE_BYTES = 1 << 29  # s^n rows of s^n bits: s^n up to 2^16
 _DEGREE_NODE_CAP = 1 << 22  # walk nodes of degree_closed_form, over all components
 
 
@@ -166,11 +167,11 @@ class GuessingGraph:
 
     def neighbors(self, x):
         """Exact neighbour set of a configuration code."""
-        return _mask_to_set(self._row(x))
+        return set(dg._bits(self._row(x)))
 
     def zero_neighbors(self):
         """Neighbours of the zero configuration, in ascending order."""
-        return tuple(sorted(self.neighbors(0)))
+        return dg._bits(self._row(0))
 
     def degree(self):
         """Common degree (the graph is regular by translation)."""
@@ -180,20 +181,24 @@ class GuessingGraph:
 
     def materialize(self):
         """Build explicit adjacency rows: :func:`_translated_rows` of the
-        zero row (guarded)."""
+        zero row (guarded).  Beyond the count guard, the rows' s^(2n)
+        bits must also fit in ``_MATERIALIZE_BYTES``; the check runs
+        before anything is allocated."""
         if self.rows is not None:
             return self
         self._within_guard(f"materialization needs {self.s}^{self.n} = {self.n_configs}")
+        needed = (self.n_configs**2 + 7) // 8
+        if needed > _MATERIALIZE_BYTES:
+            raise SizeGuard(
+                f"materialization needs {needed} bytes of rows "
+                f"(> limit {_MATERIALIZE_BYTES})",
+                needed=needed, guard=_MATERIALIZE_BYTES)
         self.rows = _translated_rows(self._row(0), self.n, self.s, self.masks)
         return self
 
     @property
     def materialized(self):
         return self.rows is not None
-
-
-def _mask_to_set(mask):
-    return set(dg._bits(mask))
 
 
 def materialize(digraph, s, guard=DEFAULT_GUARD):
@@ -225,7 +230,7 @@ def degree_closed_form(digraph, s):
     non_neighbours = 1
     visited = 0
     for comp in dg.weak_components(linked):
-        if all(in_rows[v] & (in_rows[v] - 1) == 0 for v in _mask_to_set(comp)):
+        if all(in_rows[v] & (in_rows[v] - 1) == 0 for v in dg._bits(comp)):
             count, visited = _closed_count(comp, in_rows, out_rows, s, visited)
         else:
             count, visited = _independent_count(
@@ -253,20 +258,17 @@ def _closed_count(comp, in_rows, out_rows, s, visited):
     joins, and leaves ``allowed`` for good once it has been tried, so no
     set is reached twice.
     """
-    vertices = _mask_to_set(comp)
+    vertices = dg._bits(comp)
     if any(in_rows[v] == 0 for v in vertices):
         return 1, visited
-    v = min(vertices)
+    v = vertices[0]
     for _ in vertices:  # step back onto the cycle
         v = in_rows[v].bit_length() - 1
     cycle = 0
     while not cycle >> v & 1:
         cycle |= 1 << v
         v = in_rows[v].bit_length() - 1
-    hanging = 0
-    for v in _mask_to_set(cycle):
-        hanging |= out_rows[v]
-    hanging &= ~cycle
+    hanging = dg._row_union(out_rows, cycle) & ~cycle
     power = [1]
     for _ in vertices:
         power.append(power[-1] * (s - 1))

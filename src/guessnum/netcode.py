@@ -260,7 +260,7 @@ def _simulate(instance, digraph, protocol, s):
     order = _relay_order(digraph, n)
     verified = True
     for group in solvers._reading_groups(protocol):
-        pairs = [v for v in range(n) if group >> v & 1]
+        pairs = dg._bits(group & ((1 << n) - 1))
         if s ** len(pairs) > _SIMULATE_GUARD:
             verified = None
             continue

@@ -19,7 +19,6 @@ from .errors import BadParams, NotIndependent, SizeGuard
 from .guessing_graph import (
     DEFAULT_GUARD,
     GuessingGraph,
-    _mask_to_set,
     _translated_rows,
     coordinate_masks,
     decode,
@@ -144,8 +143,8 @@ def _reading_groups(protocol):
 
 
 def _fixed_codes(protocol, guard):
-    """The set of codes the protocol fixes (:func:`_fixed_mask`), over
-    all s^n configurations (guarded)."""
+    """The codes the protocol fixes (:func:`_fixed_mask`), ascending,
+    over all s^n configurations (guarded)."""
     total = protocol.s**protocol.n
     if total > guard:
         raise SizeGuard(
@@ -153,7 +152,7 @@ def _fixed_codes(protocol, guard):
             needed=total,
             guard=guard,
         )
-    return _mask_to_set(_fixed_mask(protocol, coordinate_masks(protocol.n, protocol.s)))
+    return dg._bits(_fixed_mask(protocol, coordinate_masks(protocol.n, protocol.s)))
 
 
 def fixed_configurations(d, s, protocol, guard=DEFAULT_GUARD):
@@ -179,10 +178,10 @@ def fixed_configurations(d, s, protocol, guard=DEFAULT_GUARD):
         if len(table) != s ** len(ins) or min(table) < 0 or max(table) >= s:
             raise BadParams(f"table of vertex {v} needs s^{len(ins)} symbols in [0, {s})")
     if s**d.n <= guard:
-        return tuple(sorted(_fixed_codes(protocol, guard)))
+        return _fixed_codes(protocol, guard)
     parts = []
     for group in _reading_groups(protocol):
-        members = sorted(_mask_to_set(group))
+        members = dg._bits(group)
         position = {v: j for j, v in enumerate(members)}
         part = Protocol(
             len(members), s,
@@ -303,11 +302,11 @@ def max_independent_set(handle, node_budget=None):
         handle.rows, handle.n_configs, cover,
         seed_mask=_seed(handle), node_budget=node_budget, transitive=True,
     )
-    witness = sorted(_mask_to_set(mask))
+    witness = dg._bits(mask)
     for x in witness:
         if handle.rows[x] & mask:
             raise AssertionError("independent-set witness fails re-verification")
-    return MisResult(size, tuple(witness), exact)
+    return MisResult(size, witness, exact)
 
 
 # -- guessing number -----------------------------------------------------
@@ -647,7 +646,7 @@ def a_s_exact(n, d, s):
     else:
         masks, rows = _distance_rows(n, d, s)
         code_mask = _lexicode(rows)
-        witness = tuple(sorted(_mask_to_set(code_mask)))
+        witness = dg._bits(code_mask)
     lower = len(witness)
     if lower == min(singleton, sphere):
         return CodeSizeResult(n, d, s, True, lower, lower, witness, singleton, sphere)
@@ -659,8 +658,7 @@ def a_s_exact(n, d, s):
         seed_mask=code_mask, transitive=True,
     )
     return CodeSizeResult(
-        n, d, s, True, value, value, tuple(sorted(_mask_to_set(mask))),
-        singleton, sphere,
+        n, d, s, True, value, value, dg._bits(mask), singleton, sphere,
     )
 
 

@@ -12,10 +12,10 @@ import math
 
 from guessnum import _search
 from guessnum import digraph as dg
-from guessnum.digraph import Digraph, MasResult, SccResult, gf2_rank
+from guessnum.digraph import Digraph, MasResult, SccResult
 from guessnum.errors import BadParams, SizeGuard
 from guessnum.gf_linear import GfMatrix
-from guessnum.guessing_graph import _mask_to_set, coordinate_masks, decode, encode
+from guessnum.guessing_graph import coordinate_masks, decode, encode
 from guessnum.solvers import (
     DEFAULT_CODE_SEARCH_GUARD,
     _LEXICODE_CAP,
@@ -29,6 +29,11 @@ from guessnum.solvers import (
     _table_fixes,
     _word_masks,
 )
+
+
+def mask_members(mask):
+    """The set of positions whose bit is set in ``mask``, one bit test each."""
+    return {v for v in range(mask.bit_length()) if mask >> v & 1}
 
 
 def brute_adjacent(d, s, x, y):
@@ -94,12 +99,12 @@ def union_find_roots(n, inputs):
 def bfs_reachable(rows, frontier, within):
     """Set-based breadth-first search over bit rows: the frontier's
     vertices plus every vertex of ``within`` reached through ``within``."""
-    within = _mask_to_set(within)
-    seen = _mask_to_set(frontier)
+    within = mask_members(within)
+    seen = mask_members(frontier)
     queue = list(seen)
     while queue:
         u = queue.pop(0)
-        for w in _mask_to_set(rows[u]):
+        for w in mask_members(rows[u]):
             if w in within and w not in seen:
                 seen.add(w)
                 queue.append(w)
@@ -616,7 +621,7 @@ def bfs_mas_search(out_rows, mask, budget):
     """
     vs = [v for v in range(len(out_rows)) if mask >> v & 1]
     k = len(vs)
-    cap = gf2_rank([(out_rows[v] | (1 << v)) & mask for v in vs])
+    cap = brute_rank_gf2([(out_rows[v] | (1 << v)) & mask for v in vs])
     best_size = 0
     best = ()
     members = []
@@ -898,7 +903,7 @@ def pairwise_a_s_exact(n, d, s):
         rows, len(allowed), lambda c: greedy_clique_cover_bound(rows, c),
         seed_mask=seed_mask,
     )
-    codewords = [0] + [allowed[i] for i in _mask_to_set(mask)]
+    codewords = [0] + [allowed[i] for i in mask_members(mask)]
     value = size + 1
     return CodeSizeResult(
         n, d, s, True, value, value, tuple(sorted(codewords)), singleton, sphere

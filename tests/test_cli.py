@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from guessnum import cli, cyclic, digraph as dg, netcode
+from guessnum import guessing_graph as gg
 
 
 @pytest.fixture()
@@ -184,6 +185,22 @@ class TestExitCodes:
     def test_size_guard_is_three(self, files, capsys):
         code, _ = run(capsys, "guess", files["k3"], "-s", "9999999")
         assert code == 3
+
+    def test_guess_on_the_readme_ring_is_three(self, capsys, tmp_path, monkeypatch):
+        # thm3 -l 3 -k 2 -m 2 has 18 vertices: 2^18 configurations pass
+        # the count guard, but their rows would take 2^33 bytes
+        def no_rows(*args):
+            raise AssertionError("rows built")
+
+        monkeypatch.setattr(gg, "_translated_rows", no_rows)
+        ring = str(tmp_path / "ring.dg")
+        assert cli.main(["thm3", "-l", "3", "-k", "2", "-m", "2", "-o", ring]) == 0
+        capsys.readouterr()
+        code = cli.main(["guess", ring, "-s", "2"])
+        err = capsys.readouterr().err.strip()
+        assert code == 3
+        assert err == (
+            f"error: materialization needs {1 << 33} bytes of rows (> limit {1 << 29})")
 
     def test_invalid_input_is_four(self, files, capsys, tmp_path):
         bad = tmp_path / "bad.dg"

@@ -401,12 +401,11 @@ class TestMas:
         cases = [d for n in range(4) for d in all_digraphs(n)]
         cases += [random_digraph(rng, rng.randint(5, 7)) for _ in range(12)]
         for d in cases:
-            out_rows = d.out_rows()
             for mask in range(1 << d.n):
                 vertices = [v for v in range(d.n) if mask >> v & 1]
                 sub, ids = dg.induced_subdigraph(d, vertices)
                 ref = dg.mas_exact(sub, budget=budget)
-                got = dg._mas_search(out_rows, mask, budget)
+                got = dg._mas_search(d, mask, budget)
                 assert got == dg.MasResult(
                     ref.size, tuple(ids[i] for i in ref.witness), ref.exact
                 )
@@ -453,7 +452,7 @@ class TestMasSearchAgainstBfs:
         for d, masks in self.all_cases():
             out_rows = d.out_rows()
             for mask in masks:
-                got = dg._mas_search(out_rows, mask, budget)
+                got = dg._mas_search(d, mask, budget)
                 assert got == bfs_mas_search(out_rows, mask, budget)
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5])
@@ -464,8 +463,8 @@ class TestMasSearchAgainstBfs:
         for d, masks in cases:
             out_rows = d.out_rows()
             for mask in masks:
-                full = dg._mas_search(out_rows, mask, dg.DEFAULT_MAS_BUDGET)
-                got = dg._mas_search(out_rows, mask, budget)
+                full = dg._mas_search(d, mask, dg.DEFAULT_MAS_BUDGET)
+                got = dg._mas_search(d, mask, budget)
                 assert all(mask >> v & 1 for v in got.witness)
                 assert len(set(got.witness)) == got.size
                 assert induces_acyclic(d, got.witness)
@@ -501,7 +500,7 @@ class TestMasSearchAgainstBfs:
         assert not cyclic.divides_xn1(g, 20)
         d = cyclic.digraph_from_polynomial(g, 20)
         out_rows, every = d.out_rows(), (1 << 20) - 1
-        assert dg._mas_search(out_rows, every, 2186) == dg.MasResult(8, tuple(range(8)), True)
+        assert dg._mas_search(d, every, 2186) == dg.MasResult(8, tuple(range(8)), True)
         assert not bfs_mas_search(out_rows, every, 32258).exact
 
 

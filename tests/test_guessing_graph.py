@@ -163,6 +163,27 @@ class TestHandleGuard:
         assert h.degree() == gg.degree_closed_form(dg.cycle(4), 3)
         assert h.materialize().materialized
 
+    def test_rows_beyond_the_byte_limit_are_refused_before_allocation(self, monkeypatch):
+        # s^n rows of s^n bits may take up to 2^29 bytes, that is s^n up
+        # to 2^16, whatever the count guard admits; README's thm3 -l 3
+        # -k 2 -m 2 ring has 2^18 configurations, and rows of 8 GiB
+        def stub_rows(*args):
+            return "rows"
+
+        monkeypatch.setattr(gg, "_translated_rows", stub_rows)
+        for s, n in ((2, 16), (3, 10)):
+            assert gg.GuessingGraph(dg.cycle(n), s).materialize().rows == "rows"
+        refused = ((dg.cycle(17), 2), (dg.cycle(11), 3), (dg.cycle_power_ring(3, 2, 2), 2))
+        for d, s in refused:
+            h = gg.GuessingGraph(d, s)
+            needed = (s ** (2 * d.n) + 7) // 8
+            with pytest.raises(SizeGuard) as exc:
+                h.materialize()
+            assert (exc.value.needed, exc.value.guard) == (needed, 1 << 29)
+            assert str(exc.value) == (
+                f"materialization needs {needed} bytes of rows (> limit {1 << 29})")
+            assert not h.materialized
+
 
 class TestDegree:
     def test_degree_matches_zero_row_and_closed_form(self):

@@ -28,6 +28,7 @@ from oracles import (
     exhaustive_best_protocol,
     gf4_evaluation_code,
     lexicographic_adjacent,
+    mask_members,
     protocol_fixes,
     random_digraph,
     scan_coset_coloring,
@@ -321,7 +322,7 @@ class TestColoring:
                     h = handle(d, s).materialize()
                     chi = brute_chromatic(h.rows, h.n_configs)
                     for mask in range(3, 1 << h.n_configs):
-                        codes = sorted(gg._mask_to_set(mask))
+                        codes = sorted(mask_members(mask))
                         if len(codes) < 2 or any(h.rows[x] & mask for x in codes):
                             continue
                         colors = solvers._coset_coloring(h, mask)
@@ -593,6 +594,23 @@ class TestHandleFacts:
             assert str(exc.value) == message
         assert counts == {"mas": 0, "masks": 0}
 
+    def test_solvers_refuse_rows_beyond_the_byte_limit(self, monkeypatch):
+        # the n = 18 ring passes the count guard (2^18 <= 2^22), but its
+        # 2^18 rows of 2^18 bits would take 2^33 bytes: refused before
+        # any row, mask or acyclic set is built
+        def no_rows(*args):
+            raise AssertionError("rows built")
+
+        monkeypatch.setattr(gg, "_translated_rows", no_rows)
+        counts = self.counting(monkeypatch)
+        ring = dg.cycle_power_ring(3, 2, 2)
+        assert ring.n == 18
+        for call in (solvers.guessing_number, solvers.information_defect):
+            with pytest.raises(SizeGuard) as exc:
+                call(ring, 2)
+            assert (exc.value.needed, exc.value.guard) == (1 << 33, 1 << 29)
+        assert counts == {"mas": 0, "masks": 0}
+
 
 def _span(gens, n, s):
     """Subgroup of Z_s^n generated by ``gens``, by closure under addition."""
@@ -700,7 +718,7 @@ class TestLinearSeedCodes:
                 d = random_digraph(rng, rng.randint(0, {2: 6, 3: 4, 5: 4}.get(s, 3)), p=0.5)
                 h = handle(d, s).materialize()
                 mask = solvers._linear_seed_codes(h)
-                codes = sorted(gg._mask_to_set(mask))
+                codes = sorted(mask_members(mask))
                 assert brute_is_subgroup(codes, d.n, s)
                 assert not any(h.rows[x] & mask for x in codes)
                 if gf_linear._is_prime(s):
