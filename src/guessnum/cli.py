@@ -177,7 +177,13 @@ def cmd_simplex(args):
     return 0
 
 
+_FAMILY_OPTIONS = {"three_t": ("t",), "even_half": ("half",), "doubling": ("g", "t", "l")}
+
+
 def cmd_family(args):
+    missing = [f"--{o}" for o in _FAMILY_OPTIONS[args.kind] if getattr(args, o) is None]
+    if missing:
+        args.usage_error(f"the following arguments are required: {', '.join(missing)}")
     params = {}
     if args.kind == "three_t":
         params["t"] = args.t
@@ -369,7 +375,7 @@ def build_parser():
     p.set_defaults(func=cmd_simplex)
 
     p = sub.add_parser("family", help="cyclic-code digraph families")
-    p.add_argument("--kind", required=True, choices=["three_t", "even_half", "doubling"])
+    p.add_argument("--kind", required=True, choices=list(_FAMILY_OPTIONS))
     p.add_argument("--t", type=int, dest="t")
     p.add_argument("--half", type=int, help="half length for even_half")
     p.add_argument("--g", help="base polynomial for doubling")
@@ -377,7 +383,7 @@ def build_parser():
     p.add_argument("-o", "--output")
     p.add_argument("--dot")
     common(p)
-    p.set_defaults(func=cmd_family)
+    p.set_defaults(func=cmd_family, usage_error=p.error)
 
     p = sub.add_parser("product", help="strong product of two digraphs")
     p.add_argument("first")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd as int_gcd
 
 from . import digraph as dg
 from . import gf_linear
@@ -242,8 +243,6 @@ def polynomial_digraph_report(g, n):
         (g.coefficient(i) + g.coefficient(n - i)) == 1 for i in range(1, n)
     )
     support = [i for i in g.support() if i >= 1]
-    from math import gcd as int_gcd
-
     coprime_pair = any(
         int_gcd(i, j) == 1 for i in support for j in support if i <= j
     )
@@ -366,8 +365,6 @@ class FamilyDigraph:
 
 
 def _family_three_t(t):
-    from math import gcd as int_gcd
-
     if t <= 3:
         raise BadParams("three_t needs t > 3")
     if int_gcd(t, 3) != 1:

@@ -436,18 +436,6 @@ def gf2_rank(rows):
     return len(pivots)
 
 
-def _greedy_acyclic_set(in_rows, mask):
-    # Pick ascending ids, discarding each pick's in-neighbourhood; edges
-    # inside the result then all point forward, so it induces an acyclic
-    # subgraph of size >= |mask|/(max in-degree + 1).
-    chosen = []
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        chosen.append(v)
-        mask &= ~(in_rows[v] | 1 << v)
-    return tuple(chosen)
-
-
 def mas_exact(d, budget=DEFAULT_MAS_BUDGET):
     """Largest vertex set inducing an acyclic subgraph.
 
@@ -533,6 +521,7 @@ def _mas_search(d, mask, budget, transitive=False):
         frame[0] = candidates
         v = low.bit_length() - 1
         ahead = out_rows[v]  # one edge past every chosen vertex v reaches
+        # inline, not _row_union(beyond, ...): that call timed ~4% slower on cyclic_sweep
         m = ahead & chosen
         while m:
             b = m & -m
@@ -553,7 +542,7 @@ def _mas_search(d, mask, budget, transitive=False):
         frames.append([candidates & ~(ahead & behind), chosen | low, grown])
 
     if exhausted:
-        fallback = _greedy_acyclic_set(in_rows, mask)
+        fallback = _bits(_search.ascending_greedy(in_rows, mask))
         if len(fallback) > best_size:
             best_size, best = len(fallback), fallback
         return MasResult(best_size, best, False)

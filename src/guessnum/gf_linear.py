@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from math import comb, floor, log
 
 from . import digraph as dg
 from .errors import BadParams, NonPrimeField
@@ -578,8 +579,6 @@ def linear_guessing_number(d, p, budget=DEFAULT_LINEAR_BUDGET, exhaustive=None):
     mas = dg.mas_exact(d)
     uppers = [(n - mas.size, "acyclic-set")]
     if n > 0 and not d.bidirectional_pairs():
-        from math import floor
-
         for value, tag in _sparse_linear_uppers(d, p):
             uppers.append((floor(value + 1e-9), tag))
     upper, upper_tag = min(uppers, key=lambda t: t[0])
@@ -603,8 +602,6 @@ def linear_guessing_number(d, p, budget=DEFAULT_LINEAR_BUDGET, exhaustive=None):
 
 def _johnson_pair_overlap(n, max_in):
     """Largest d with binom(n, max_in-d+2)/binom(max_in+1, max_in-d+2) >= n."""
-    from math import comb
-
     best = None
     for dd in range(1, max_in + 3):
         k = max_in - dd + 2
@@ -620,8 +617,6 @@ def _johnson_pair_overlap(n, max_in):
 
 def _sparse_linear_uppers(d, p):
     """Row-space counting bounds (real-valued); need no bidirectional edges."""
-    from math import log
-
     n = d.n
     degs = [d.in_degree(v) for v in range(n)]
     delta, max_in = min(degs), max(degs)

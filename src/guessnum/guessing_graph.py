@@ -21,7 +21,7 @@ from .errors import AlphabetMismatch, BadParams, SizeGuard
 
 DEFAULT_GUARD = 1 << 22
 _MATERIALIZE_BYTES = 1 << 29  # s^n rows of s^n bits: s^n up to 2^16
-_DEGREE_NODE_CAP = 1 << 22  # walk nodes of degree_closed_form, over all components
+_DEGREE_NODE_CAP = 1 << 22  # degree_closed_form's inclusion-exclusion nodes, all components
 
 
 def encode(symbols, s):
@@ -212,12 +212,12 @@ def degree_closed_form(digraph, s):
     T is closed: every member of T has an in-neighbour in T.  So there
     are sum over closed T of (s-1)^|T| of them.  Closedness splits over
     the weak components (:func:`digraph.weak_components`), so the degree
-    is s^n minus the product of the components' counts N_c.  Each N_c
-    comes from the cheaper side: the closed sets themselves
-    (:func:`_closed_count`) when every vertex of the component has at
-    most one in-neighbour, inclusion-exclusion over its independent sets
-    (:func:`_independent_count`) otherwise.  Both walks count their
-    nodes against the one ``_DEGREE_NODE_CAP``.  On a
+    is s^n minus the product of the components' counts N_c.  When every
+    vertex of a component has at most one in-neighbour, N_c is a product
+    over the trees hanging from its cycle (:func:`_closed_count`);
+    otherwise it comes from inclusion-exclusion over the component's
+    independent sets (:func:`_independent_count`), whose walk counts
+    its nodes against ``_DEGREE_NODE_CAP``.  On a
     :func:`digraph.rotation_invariant` digraph the rotations act
     transitively on each weak component, so inclusion-exclusion walks
     only the sets that contain the component's lowest vertex.
@@ -231,7 +231,7 @@ def degree_closed_form(digraph, s):
     visited = 0
     for comp in dg.weak_components(linked):
         if all(in_rows[v] & (in_rows[v] - 1) == 0 for v in dg._bits(comp)):
-            count, visited = _closed_count(comp, in_rows, out_rows, s, visited)
+            count = _closed_count(comp, in_rows, out_rows, s)
         else:
             count, visited = _independent_count(
                 comp, in_rows, linked, s, visited, transitive)
@@ -239,28 +239,22 @@ def degree_closed_form(digraph, s):
     return s**n - non_neighbours
 
 
-def _count_node(visited):
-    visited += 1
-    if visited > _DEGREE_NODE_CAP:
-        raise SizeGuard("degree walk exceeded its node cap",
-                        needed=visited, guard=_DEGREE_NODE_CAP)
-    return visited
-
-
-def _closed_count(comp, in_rows, out_rows, s, visited):
+def _closed_count(comp, in_rows, out_rows, s):
     """N_c of a weak component whose vertices have at most one in-neighbour.
 
     With a vertex of in-degree 0 the component is an out-tree, and only
     the empty set is closed.  Otherwise it is one directed cycle C with
     out-trees hanging from it.  Every nonempty closed set holds C and the
-    in-neighbour of each of its members.  The walk grows those sets from
-    C, one node per set: a vertex becomes allowed when its in-neighbour
-    joins, and leaves ``allowed`` for good once it has been tried, so no
-    set is reached twice.
+    in-neighbour of each of its members: C plus, for each child c of C,
+    nothing or a subtree rooted at c that holds the parent of each of its
+    members.  Those subtrees at a tree vertex v weigh W(v) = (s-1) *
+    prod(1 + W(c)) over v's children c, found leaves first, layer by
+    layer outward from C; then N_c = 1 + (s-1)^|C| * prod(1 + W(c)) over
+    C's children.
     """
     vertices = dg._bits(comp)
     if any(in_rows[v] == 0 for v in vertices):
-        return 1, visited
+        return 1
     v = vertices[0]
     for _ in vertices:  # step back onto the cycle
         v = in_rows[v].bit_length() - 1
@@ -268,26 +262,20 @@ def _closed_count(comp, in_rows, out_rows, s, visited):
     while not cycle >> v & 1:
         cycle |= 1 << v
         v = in_rows[v].bit_length() - 1
-    hanging = dg._row_union(out_rows, cycle) & ~cycle
-    power = [1]
-    for _ in vertices:
-        power.append(power[-1] * (s - 1))
-    size = cycle.bit_count()
-    visited = _count_node(visited)
-    count = 1 + power[size]
-    stack = [(hanging, size + 1)] if hanging else []
-    while stack:
-        allowed, size = stack.pop()
-        term = power[size]
-        while allowed:
-            low = allowed & -allowed
-            allowed ^= low
-            v = low.bit_length() - 1
-            visited = _count_node(visited)
-            count += term
-            if allowed | out_rows[v]:
-                stack.append((allowed | out_rows[v], size + 1))
-    return count, visited
+    layers = [dg._row_union(out_rows, cycle) & ~cycle]
+    while layers[-1]:
+        layers.append(dg._row_union(out_rows, layers[-1]))
+    grown = [1] * len(in_rows)  # 1 + W(v) once v's layer is done
+    for layer in reversed(layers):
+        for v in dg._bits(layer):
+            weight = s - 1
+            for c in dg._bits(out_rows[v]):
+                weight *= grown[c]
+            grown[v] = 1 + weight
+    count = (s - 1) ** cycle.bit_count()
+    for c in dg._bits(layers[0]):
+        count *= grown[c]
+    return 1 + count
 
 
 def _independent_count(comp, in_rows, linked, s, visited, transitive=False):
@@ -299,7 +287,9 @@ def _independent_count(comp, in_rows, linked, s, visited, transitive=False):
     ascending order and extended by the vertices of an ``allowed`` bit
     mask: those above its last member and outside every member's closed
     neighbourhood.  The terms depend only on |I| and |in_nbhd(I)|, so
-    the walk tallies the sets per (|I|, |in_nbhd(I)|) class.
+    the walk tallies the sets per (|I|, |in_nbhd(I)|) class.  Each set
+    walked is one node; ``visited`` carries the count over the
+    components, and passing ``_DEGREE_NODE_CAP`` raises ``SizeGuard``.
 
     ``transitive`` states that automorphisms move the component's
     lowest vertex onto each of its n_c vertices.  Then every vertex
@@ -318,7 +308,10 @@ def _independent_count(comp, in_rows, linked, s, visited, transitive=False):
             low = allowed & -allowed
             allowed ^= low
             v = low.bit_length() - 1
-            visited = _count_node(visited)
+            visited += 1
+            if visited > _DEGREE_NODE_CAP:
+                raise SizeGuard("degree walk exceeded its node cap",
+                                needed=visited, guard=_DEGREE_NODE_CAP)
             union = in_union | in_rows[v]
             row[union.bit_count()] += 1
             if allowed & ~linked[v]:

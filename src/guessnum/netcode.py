@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import _search
 from . import digraph as dg
 from . import gf_linear, solvers
 from .errors import (
@@ -380,8 +381,8 @@ def solvable(instance, s, guard=DEFAULT_GUARD):
     m = len(instance.intermediates)
     # g <= (vertex count) - mas, so an acyclic set larger than the
     # intermediates caps g below the pair count: no linear attempt
-    acyclic = dg._greedy_acyclic_set(merged.in_rows(), (1 << merged.n) - 1)
-    if len(acyclic) <= m and gf_linear._is_prime(s):
+    acyclic = _search.ascending_greedy(merged.in_rows(), (1 << merged.n) - 1)
+    if acyclic.bit_count() <= m and gf_linear._is_prime(s):
         linear = gf_linear.linear_guessing_number(merged, s)
         if linear.lower == n:
             return _linear_solution(instance, merged, linear.witness, guard)

@@ -601,17 +601,6 @@ def _distance_rows(n, d, s):
     return masks, _translated_rows(sum(weight[1:d]), n, s, masks)
 
 
-def _lexicode(rows):
-    """Greedy independent set in ascending order, as a bitmask."""
-    chosen = 0
-    free = (1 << len(rows)) - 1
-    while free:
-        low = free & -free
-        chosen |= low
-        free &= ~(rows[low.bit_length() - 1] | low)
-    return chosen
-
-
 @lru_cache(maxsize=None)
 def a_s_exact(n, d, s):
     """Maximum size of a length-n code over [s] with minimum distance d.
@@ -645,7 +634,7 @@ def a_s_exact(n, d, s):
         witness = tuple([encode((v,) * n, s) for v in range(s)])
     else:
         masks, rows = _distance_rows(n, d, s)
-        code_mask = _lexicode(rows)
+        code_mask = _search.ascending_greedy(rows, (1 << total) - 1)
         witness = dg._bits(code_mask)
     lower = len(witness)
     if lower == min(singleton, sphere):

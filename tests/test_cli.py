@@ -261,3 +261,18 @@ class TestExitCodes:
     def test_bad_family_params_is_four(self, files, capsys):
         code, _ = run(capsys, "family", "--kind", "three_t", "--t", "6")
         assert code == 4
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["--kind", "three_t"], "--t"),
+        (["--kind", "even_half"], "--half"),
+        (["--kind", "doubling", "--t", "3", "--l", "1"], "--g"),
+        (["--kind", "doubling", "--g", "111"], "--t, --l"),
+    ])
+    def test_missing_family_option_is_two(self, capsys, argv, missing):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["family", *argv])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.splitlines()[-1] == (
+            f"guessnum family: error: the following arguments are required: {missing}")
+        assert "Traceback" not in err

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from guessnum import cyclic
+from guessnum import _search, cyclic
 from guessnum import digraph as dg
 from guessnum.errors import BadParams, LoopEdge, VertexOutOfRange
 
@@ -487,7 +487,7 @@ class TestMasSearchAgainstBfs:
         for d, masks in cases:
             in_rows, out_rows = d.in_rows(), d.out_rows()
             for mask in masks:
-                got = dg._greedy_acyclic_set(in_rows, mask)
+                got = dg._bits(_search.ascending_greedy(in_rows, mask))
                 assert got == scan_greedy_acyclic_set(out_rows, mask)
 
     def test_node_ceiling_on_a_dense_non_divisor(self):

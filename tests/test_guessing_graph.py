@@ -5,6 +5,7 @@ import pytest
 
 from guessnum import digraph as dg
 from guessnum import guessing_graph as gg
+from guessnum import solvers
 from guessnum.errors import AlphabetMismatch, SizeGuard
 
 from oracles import (
@@ -246,10 +247,40 @@ class TestDegreeClosedForm:
             for m in range(2, 81):
                 assert gg.degree_closed_form(dg.cycle(m), s) == s**m - 1 - (s - 1) ** m
 
+    def test_forty_leaves_on_a_triangle(self):
+        # a directed 3-cycle with 40 leaves on vertex 0: the nonempty closed
+        # sets are the cycle plus any set of leaves
+        d = leafy_triangle()
+        for s in (2, 3):
+            assert gg.degree_closed_form(d, s) == s**43 - 1 - (s - 1) ** 3 * s**40
+
+    def test_forty_leaves_on_a_triangle_lists_the_degree_bound(self):
+        rep = solvers.bounds_report(leafy_triangle(), 2)
+        assert "graph_degree" in {b.name for b in rep.bounds}
+        assert "graph_degree" not in dict(rep.skipped)
+
+    def test_in_degree_at_most_one_matches_inclusion_exclusion(self):
+        # every digraph on 5 vertices whose in-degrees are at most 1 (each
+        # vertex reads one other vertex or none), then seeded larger ones
+        n = 5
+        for parents in itertools.product(range(-1, n - 1), repeat=n):
+            d = dg.Digraph(n, [
+                (u + (u >= v), v) for v, u in enumerate(parents) if u >= 0])
+            for s in (2, 3, 4):
+                assert gg.degree_closed_form(d, s) == inclusion_exclusion_degree(d, s)
+        rng = random.Random(28)
+        for _ in range(30):
+            n = rng.randint(6, 12)
+            d = dg.Digraph(n, [
+                (rng.choice([u for u in range(n) if u != v]), v)
+                for v in range(n) if rng.random() < 0.9])
+            s = rng.choice([2, 3, 4])
+            assert gg.degree_closed_form(d, s) == inclusion_exclusion_degree(d, s)
+
     def test_cap_counts_one_node_per_walked_set(self, monkeypatch):
-        # each weak component is walked once: one node per nonempty closed
-        # set when every in-degree is at most 1, one per nonempty independent
-        # set otherwise (on a circulant, per one containing the component's
+        # each weak component is counted once: with no node when every
+        # in-degree is at most 1, with one per nonempty independent set
+        # otherwise (on a circulant, per one containing the component's
         # lowest vertex), so the guard trips exactly when the cap is one
         # below their total
         rng = random.Random(6)
@@ -270,6 +301,7 @@ class TestDegreeClosedForm:
             cases.append(dg.cycle(rng.randint(2, 9)))
             cases.append(random_digraph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.5)))
         cases += [dg.disjoint_union(a, b) for a, b in zip(cases, cases[1:])]
+        cases += [random_digraph(rng, rng.randint(3, 8), 0.4) for _ in range(12)]
         for n in range(3, 10):  # circulants, some with several weak components
             for shifts in ({1, 2}, {2, n - 2}, set(rng.sample(range(1, n), 2))):
                 cases.append(dg.Digraph(n, [(v, (v + j) % n) for v in range(n) for j in shifts]))
@@ -293,21 +325,25 @@ class TestDegreeClosedForm:
 
 
 def walked_sets(d, comp):
-    """Nonempty sets a weak component's walk visits, counted by subset scan.
-
-    Inclusion-exclusion on a circulant walks only the sets that contain
-    the component's lowest vertex.
+    """Nonempty sets inclusion-exclusion walks in a weak component, counted
+    by subset scan: none when every in-degree is at most 1, since that
+    component's count is a closed form.  On a circulant only the sets
+    that contain the component's lowest vertex are walked.
     """
-    closed = all(d.in_degree(v) <= 1 for v in comp)
-    lowest = min(comp) if is_circulant(d) and not closed else None
+    if all(d.in_degree(v) <= 1 for v in comp):
+        return 0
+    lowest = min(comp) if is_circulant(d) else None
     count = 0
     for k in range(1, len(comp) + 1):
         for vs in itertools.combinations(sorted(comp), k):
-            if closed:
-                count += all(set(d.in_neighbours(v)) & set(vs) for v in vs)
-            elif lowest is None or lowest in vs:
+            if lowest is None or lowest in vs:
                 count += not any(d.has_edge(u, v) for u in vs for v in vs)
     return count
+
+
+def leafy_triangle():
+    """A directed 3-cycle on 0, 1, 2 with 40 leaves hanging from vertex 0."""
+    return dg.Digraph(43, [(0, 1), (1, 2), (2, 0)] + [(0, v) for v in range(3, 43)])
 
 
 class TestMaterialize:

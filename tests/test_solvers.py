@@ -1057,8 +1057,9 @@ class TestBoundsReport:
             assert dg.structure_report(d, scc) == dg.structure_report(d)
 
     def test_long_cycle_lists_the_degree_bounds(self, monkeypatch):
-        # the 40-cycle's only nonempty closed set is itself: one walk node
-        monkeypatch.setattr(gg, "_DEGREE_NODE_CAP", 1)
+        # every in-degree is 1, so the degree comes from the closed form
+        # and inclusion-exclusion walks no node
+        monkeypatch.setattr(gg, "_DEGREE_NODE_CAP", 0)
         rep = solvers.bounds_report(dg.cycle(40), 2)
         assert rep.skipped == ()
         bounds = {b.name: b.value for b in rep.bounds}
