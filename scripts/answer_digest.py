@@ -25,11 +25,12 @@ hang the run.
 
 The benchmark's linear work is all over GF(2), so the script also
 digests a fixed seeded set of linear jobs over GF(3) and GF(5): for
-each digraph, ``linear_guessing_number`` in each ``exhaustive`` mode
-(witness included) with the fixed-space basis of that witness from
-``fixed_space_basis``, and the all-ones basis from
-``full_support_fixed_basis``.  A pattern budget of 2^16 keeps each
-exhaustive search small.
+each digraph, ``linear_guessing_number`` at a pattern budget of 2^16
+and at budget 0 (witness included), each with the fixed-space basis of
+its witness from ``fixed_space_basis``, the all-ones basis from
+``full_support_fixed_basis`` and, where the p^|E| coefficient patterns
+fit that budget, the value and witness of the pattern search
+``_min_rank_exhaustive``.  The budget keeps each pattern search small.
 
 Last, the script digests a fixed seeded set of random matrices over
 GF(2), GF(3), GF(5) and GF(7), 1 to 9 rows and columns, tall and wide,
@@ -180,15 +181,22 @@ def defect_answer(lib, workloads, d, s):
 def linear_answer(lib, d, p):
     gl = lib.gf_linear
     answer = [gl.full_support_fixed_basis(d, p)]
-    for mode in (None, True, False):
-        res = gl.linear_guessing_number(d, p, budget=LINEAR_BUDGET, exhaustive=mode)
+    for budget in (LINEAR_BUDGET, 0):
+        res = gl.linear_guessing_number(d, p, budget=budget)
         answer.append((res, gl.fixed_space_basis(d, p, res.witness)))
+    # the pattern search raises beyond its budget
+    if p ** d.edge_count() <= LINEAR_BUDGET:
+        rank, witness = gl._min_rank_exhaustive(d, p, LINEAR_BUDGET)
+        answer.append((d.n - rank, witness))
     return answer
 
 
 def linear_summary(answer):
-    # one bracket per exhaustive mode, as linear_answer lists them
-    return "linear=" + ",".join(bracket(res) for res, _ in answer[1:])
+    # the brackets at the pattern budget and at budget 0, then the
+    # pattern search's value, as linear_answer lists them
+    brackets = ",".join(bracket(res) for res, _ in answer[1:3])
+    searched = answer[3][0] if len(answer) > 3 else "-"
+    return f"linear={brackets} exhaustive={searched}"
 
 
 def union_jobs(lib, seed, sizes, count):

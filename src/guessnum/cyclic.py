@@ -20,7 +20,8 @@ from math import gcd as int_gcd
 
 from . import digraph as dg
 from . import gf_linear
-from .errors import BadGenerator, BadParams, DivisionByZeroPoly
+from .errors import BadGenerator, BadParams, DivisionByZeroPoly, SizeGuard
+from .guessing_graph import _MATERIALIZE_BYTES
 
 
 class Gf2Poly:
@@ -155,16 +156,27 @@ def divides_xn1(g, n):
     return (x_power_plus_one(n) % g).is_zero()
 
 
+def _check_vertex_count(n):
+    """Refuse n > 2^16 vertices: n bit rows of n bits pass ``_MATERIALIZE_BYTES``."""
+    needed = (n * n + 7) // 8
+    if needed > _MATERIALIZE_BYTES:
+        raise SizeGuard(
+            f"n > 2^16 vertices: bit rows need over {_MATERIALIZE_BYTES} bytes",
+            needed=needed, guard=_MATERIALIZE_BYTES)
+
+
 def digraph_from_polynomial(g, n):
     """Circulant digraph with edges v_{(a+i) mod n} -> v_a for g_i = 1.
 
     Requires g_0 = 1 (unit diagonal after the shift construction) and
     deg(g) < n; the i = 0 term would be a loop and is excluded.
+    Raises :class:`SizeGuard` for n > 2^16.
     """
     if g.coefficient(0) != 1:
         raise BadGenerator("generator needs a nonzero constant term")
     if n < 1 or g.degree >= n:
         raise BadParams("need deg(g) < n and n >= 1")
+    _check_vertex_count(n)
     edges = []
     for i in g.support():
         if i == 0:
@@ -370,6 +382,7 @@ def _family_three_t(t):
     if int_gcd(t, 3) != 1:
         raise BadParams("three_t needs gcd(t, 3) = 1")
     n = 3 * t
+    _check_vertex_count(n)
     poly = x_power_plus_one(t) * parse_poly("111")
     return n, poly
 
@@ -378,6 +391,7 @@ def _family_even_half(p):
     if p < 2:
         raise BadParams("even_half needs p >= 2")
     n = 2 * p
+    _check_vertex_count(n)
     poly = Gf2Poly((1 << p) - 1)  # x^(p-1) + ... + 1
     return n, poly
 
@@ -388,11 +402,11 @@ def _family_doubling(g, t, l):
     all_ones = Gf2Poly((1 << t) - 1)  # (x^t - 1)/(x - 1)
     if g.is_zero() or not (all_ones % g).is_zero():
         raise BadParams("doubling needs g dividing x^(t-1) + ... + 1")
-    power = Gf2Poly(1)
-    for _ in range(1 << l):
-        power = power * g
-    poly = parse_poly("11") * power  # (x + 1) * g^(2^l)
-    return (1 << l) * t, poly
+    n = t << l
+    _check_vertex_count(n)
+    # (x + 1) * g^(2^l), where over GF(2) g(x)^(2^l) = g(x^(2^l)) spreads g's support
+    poly = parse_poly("11") * Gf2Poly(sum(1 << (i << l) for i in g.support()))
+    return n, poly
 
 
 def family_unidirectional(kind, **params):

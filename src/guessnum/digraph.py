@@ -17,7 +17,6 @@ them):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import _search
 from .errors import BadParams, LoopEdge, VertexOutOfRange
@@ -190,9 +189,7 @@ class StructureReport:
 
 @dataclass(frozen=True)
 class SccResult:
-    components: tuple  # tuples of vertex ids, reverse topological order
-    condensation: "Digraph"
-    component_of: tuple  # vertex id -> component index
+    components: tuple  # tuples of vertex ids, lowest vertex first
 
 
 def rotation_invariant(out_rows):
@@ -225,69 +222,24 @@ def _row_union(rows, mask):
 
 
 def strong_components(d):
-    """Strongly connected components plus the (acyclic) condensation.
+    """Strongly connected components, each ascending, lowest vertex first.
 
-    Components come out in reverse topological order of the condensation:
-    every condensation edge points from a higher component index to a
-    lower one.
-
-    Tarjan's search on bit rows.  The depth-first walk enters the lowest
-    out-neighbour not yet visited.  Each frame keeps its vertex, the mask
-    of vertices opened (entered and in no component yet) before it, and
-    the OR of the out-rows of its subtree, less the subtrees that rooted
-    components of their own.  A finished vertex roots a component
-    exactly when that OR misses every vertex opened before it (Tarjan's
-    lowlink equals its index); the component is then every vertex opened
-    since.  Otherwise its parent ORs it into its own.
-
-    On a :func:`rotation_invariant` digraph (a circulant) the result is
-    read off vertex 0.  Its edges are v -> v + j for the shifts j of
-    vertex 0, so the vertices reachable from 0 are the subgroup of Z_n
-    those shifts generate, the multiples of g = gcd(n, shifts), and the
-    other weak components are its rotations, the residue classes mod g.
-    Every vertex has in-degree equal to out-degree, so each weak
-    component is strong and the condensation has no edge.  Tarjan's
-    search meets the classes in the order of their lowest vertices,
-    0..g-1, which is the order given here.
+    The forward-backward method: the component of the lowest vertex v not
+    yet placed is what v reaches along the out-rows inside what reaches v
+    along the in-rows, both walks within the vertices not yet placed (a
+    path between two members of a component stays inside it).  The worst
+    case is a chain with every edge from a higher to a lower id: each
+    vertex's backward walk covers the rest of the chain.
     """
-    n = d.n
-    out_rows = d.out_rows()
-    if rotation_invariant(out_rows):
-        g = gcd(n, *_bits(out_rows[0])) if n else 0
-        return SccResult(
-            tuple([tuple(range(i, n, g)) for i in range(g)]),
-            Digraph(g),
-            tuple([v % g for v in range(n)]),
-        )
-    every = (1 << n) - 1
-    visited = opened = 0
-    work = []  # frames [vertex, opened before it, OR of its subtree's out-rows]
+    out_rows, in_rows = d.out_rows(), d.in_rows()
     comps = []
-    comp_of = [0] * n
-    cond_edges = set()
-    while work or visited != every:
-        fresh = (out_rows[work[-1][0]] if work else every) & ~visited
-        if fresh:
-            low = fresh & -fresh
-            v = low.bit_length() - 1
-            work.append([v, opened, out_rows[v]])
-            visited |= low
-            opened |= low
-            continue
-        _, before, reach = work.pop()
-        if reach & before:
-            work[-1][2] |= reach
-            continue
-        comp = opened ^ before
-        opened = before
-        members = _bits(comp)
-        for w in members:
-            comp_of[w] = len(comps)
-        # the rest of the reach lies in components already emitted
-        for w in _bits(reach & ~comp):
-            cond_edges.add((len(comps), comp_of[w]))
-        comps.append(members)
-    return SccResult(tuple(comps), Digraph(len(comps), cond_edges), tuple(comp_of))
+    rest = (1 << d.n) - 1
+    while rest:
+        low = rest & -rest
+        comp = reachable(out_rows, low, reachable(in_rows, low, rest))
+        comps.append(_bits(comp))
+        rest ^= comp
+    return SccResult(tuple(comps))
 
 
 def girth(d):

@@ -557,7 +557,7 @@ def _min_rank_exhaustive(d, p, budget, floor=0, ceiling=None):
     return best_rank, _matrix_from_coeffs(d, p, best or {})
 
 
-def linear_guessing_number(d, p, budget=DEFAULT_LINEAR_BUDGET, exhaustive=None):
+def linear_guessing_number(d, p, budget=DEFAULT_LINEAR_BUDGET):
     """n minus the minimum rank of I + A over support-respecting A.
 
     The cheap upper bounds come first (acyclic set and, without
@@ -565,14 +565,11 @@ def linear_guessing_number(d, p, budget=DEFAULT_LINEAR_BUDGET, exhaustive=None):
     number of strong components, since the maximal acyclic set of
     ``mas_exact`` meets each one).  The candidate strategies of
     ``_bounded_lower`` then run until one meets the smallest upper bound.
-    With ``exhaustive=None`` the pattern search only runs when the bounds
-    fail to pinch the value and the pattern space fits the budget;
-    ``exhaustive=True`` forces the search (budget permitting) in place of
-    the candidates, ``exhaustive=False`` forbids it.  After the
-    candidates, the search looks only for ranks up to theirs, n minus
-    the lower bound, and it stops once its rank reaches n minus the
-    upper bound.  Inexact calls return
-    the bracketing interval with a witness for the lower end.
+    When they fail to pinch the value and the p^|E| coefficient patterns
+    fit ``budget``, the pattern search runs; it looks only for ranks up
+    to the candidates', n minus the lower bound, and it stops once its
+    rank reaches n minus the upper bound.  Inexact calls return the
+    bracketing interval with a witness for the lower end.
     """
     _check_prime(p)
     n = d.n
@@ -582,20 +579,13 @@ def linear_guessing_number(d, p, budget=DEFAULT_LINEAR_BUDGET, exhaustive=None):
         for value, tag in _sparse_linear_uppers(d, p):
             uppers.append((floor(value + 1e-9), tag))
     upper, upper_tag = min(uppers, key=lambda t: t[0])
-    fits = p ** d.edge_count() <= budget
-    ceiling = None
-    if exhaustive is not True or not fits:
-        lower, witness, lower_tag = _bounded_lower(d, p, upper)
-        exact = lower >= upper
-        if exact:
-            upper = lower
-        if exact or exhaustive is False or not fits:
-            return LinearGuessingResult(
-                lower, upper, witness, exact, (lower_tag, upper_tag)
-            )
-        ceiling = n - lower
+    lower, witness, lower_tag = _bounded_lower(d, p, upper)
+    if lower >= upper:
+        return LinearGuessingResult(lower, lower, witness, True, (lower_tag, upper_tag))
+    if p ** d.edge_count() > budget:
+        return LinearGuessingResult(lower, upper, witness, False, (lower_tag, upper_tag))
     min_rank, witness = _min_rank_exhaustive(
-        d, p, budget, floor=n - upper, ceiling=ceiling)
+        d, p, budget, floor=n - upper, ceiling=n - lower)
     value = n - min_rank
     return LinearGuessingResult(value, value, witness, True, ("exhaustive", "exhaustive"))
 

@@ -145,18 +145,9 @@ def brute_girth(d):
 
 def tarjan_components(d):
     """Tarjan's search with index, lowlink and on-stack arrays, the
-    reference for ``strong_components``; circulants, unless
-    ``digraph.rotation_invariant`` is patched, are read off vertex 0."""
+    reference for ``strong_components``; its components come out in
+    reverse topological order, so tests compare them sorted."""
     n = d.n
-    alike = n < 2 or (
-        len(d.out_neighbours(0)) == len(d.out_neighbours(1)) == len(d.in_neighbours(0)))
-    if alike and dg.rotation_invariant(d.out_rows()):
-        g = math.gcd(n, *d.out_neighbours(0)) if n else 0
-        return SccResult(
-            tuple([tuple(range(i, n, g)) for i in range(g)]),
-            Digraph(g),
-            tuple([v % g for v in range(n)]),
-        )
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -200,16 +191,7 @@ def tarjan_components(d):
                     if w == v:
                         break
                 comps.append(tuple(sorted(comp)))
-    comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    cond_edges = set()
-    for u in range(n):
-        for v in d.out_neighbours(u):
-            if comp_of[u] != comp_of[v]:
-                cond_edges.add((comp_of[u], comp_of[v]))
-    return SccResult(tuple(comps), Digraph(len(comps), cond_edges), tuple(comp_of))
+    return SccResult(tuple(comps))
 
 
 def bfs_girth(d):

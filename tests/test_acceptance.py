@@ -136,7 +136,7 @@ def test_criterion_06_cyclic_codes():
     rep = dg.structure_report(d7)
     assert rep.is_tournament and rep.strong
     assert dg.mas_exact(d7).size == 3
-    lin = gl.linear_guessing_number(d7, 2, exhaustive=True)
+    lin = gl.linear_guessing_number(d7, 2)
     assert lin.value == 4
     par = gl.parity_check_protocol(d7)
     assert par.dimension == 4
@@ -178,11 +178,12 @@ def test_criterion_07_non_divisor():
 
 @report(8, "coefficient-pattern search over every support-respecting matrix")
 def test_criterion_08_linear_exhaustive():
-    res = gl.linear_guessing_number(dg.clique(3), 2, exhaustive=True)
-    assert res.value == 2 and res.exact
-    for d in (dg.path(4), dg.from_edge_list(3, [(0, 1), (0, 2), (1, 2)])):
-        res = gl.linear_guessing_number(d, 2, exhaustive=True)
-        assert res.value == 0 and res.exact
+    budget = gl.DEFAULT_LINEAR_BUDGET
+    for d, value in [(dg.clique(3), 2), (dg.path(4), 0),
+                     (dg.from_edge_list(3, [(0, 1), (0, 2), (1, 2)]), 0)]:
+        res = gl.linear_guessing_number(d, 2)
+        assert res.value == value and res.exact
+        assert d.n - gl._min_rank_exhaustive(d, 2, budget)[0] == value
 
 
 @report(9, "strong product of two directed triangles")
@@ -247,7 +248,7 @@ def test_criterion_12_bound_chains():
             continue
         rep = solvers.bounds_report(d, 2)
         g = solvers.guessing_number(d, 2).value
-        glin = gl.linear_guessing_number(d, 2, exhaustive=True).value
+        glin = gl.linear_guessing_number(d, 2).value
         b = solvers.information_defect(d, 2).value
         for bound in rep.bounds:
             if bound.kind == "lower" and bound.target in ("g", "g_linear"):

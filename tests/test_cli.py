@@ -262,6 +262,18 @@ class TestExitCodes:
         code, _ = run(capsys, "family", "--kind", "three_t", "--t", "6")
         assert code == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["family", "--kind", "doubling", "--g", "111", "--t", "3", "--l", "40"],
+        ["family", "--kind", "even_half", "--half", "40000"],
+        ["cyclic-gen", "--poly", "11", "-n", "100000"],
+    ])
+    def test_oversized_cyclic_digraph_is_three(self, capsys, argv):
+        # checked on n before any generator or edge list is built
+        code = cli.main(argv)
+        err = capsys.readouterr().err.strip()
+        assert code == 3
+        assert err == f"error: n > 2^16 vertices: bit rows need over {1 << 29} bytes"
+
     @pytest.mark.parametrize("argv, missing", [
         (["--kind", "three_t"], "--t"),
         (["--kind", "even_half"], "--half"),

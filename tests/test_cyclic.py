@@ -5,7 +5,7 @@ import pytest
 from guessnum import cyclic
 from guessnum import digraph as dg
 from guessnum import gf_linear as gl
-from guessnum.errors import BadGenerator, BadParams, DivisionByZeroPoly
+from guessnum.errors import BadGenerator, BadParams, DivisionByZeroPoly, SizeGuard
 
 P = cyclic.parse_poly
 
@@ -252,6 +252,34 @@ class TestFamilies:
             assert fam.poly.weight == 2 * g.weight
             assert fam.digraph.n == (1 << l) * t
             assert fam.report.divides
+
+    def test_doubling_spreads_the_support(self):
+        # g^(2^l) = g(x^(2^l)) over GF(2), against repeated multiplication
+        checked = 0
+        for t in range(2, 12):
+            all_ones = cyclic.Gf2Poly((1 << t) - 1)
+            for bits in range(1, 1 << t, 2):
+                g = cyclic.Gf2Poly(bits)
+                if not (all_ones % g).is_zero():
+                    continue
+                for l in range(1, 5):
+                    power = cyclic.Gf2Poly(1)
+                    for _ in range(1 << l):
+                        power = power * g
+                    assert cyclic._family_doubling(g, t, l) == ((1 << l) * t, P("11") * power)
+                    checked += 1
+        assert checked > 40
+
+    def test_vertex_count_guard(self):
+        # n bit rows of n bits fit in 2^29 bytes up to n = 2^16
+        assert cyclic.digraph_from_polynomial(P("11"), 1 << 12).n == 1 << 12
+        with pytest.raises(SizeGuard) as exc:
+            cyclic.digraph_from_polynomial(P("11"), (1 << 16) + 1)
+        assert exc.value.guard == 1 << 29
+        for kind, params in [("three_t", {"t": 21847}), ("even_half", {"p": 32769}),
+                             ("doubling", {"g": P("111"), "t": 3, "l": 15})]:
+            with pytest.raises(SizeGuard):
+                cyclic.family_unidirectional(kind, **params)
 
     def test_doubling_rejects_non_divisor(self):
         with pytest.raises(BadParams):

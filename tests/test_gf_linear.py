@@ -146,10 +146,9 @@ class TestParityCheck:
 
 class TestLinearGuessingNumber:
     def test_clique_exhaustive(self):
-        res = gl.linear_guessing_number(dg.clique(3), 2, exhaustive=True)
-        assert res.value == 2
-        assert res.provenance == ("exhaustive", "exhaustive")
-        eye_plus = gl.GfMatrix.identity(3, 2).add(res.witness)
+        rank, witness = gl._min_rank_exhaustive(dg.clique(3), 2, gl.DEFAULT_LINEAR_BUDGET)
+        assert rank == 1
+        eye_plus = gl.GfMatrix.identity(3, 2).add(witness)
         assert gl.rank_gfp(eye_plus) == 1
 
     def test_paley(self):
@@ -161,7 +160,7 @@ class TestLinearGuessingNumber:
 
     def test_acyclic_is_zero(self):
         for d in (dg.path(4), dg.Digraph(3), dg.from_edge_list(3, [(0, 1), (0, 2)])):
-            res = gl.linear_guessing_number(d, 2, exhaustive=True)
+            res = gl.linear_guessing_number(d, 2)
             assert res.value == 0
 
     def test_witness_support_and_fixed_space(self):
@@ -179,18 +178,17 @@ class TestLinearGuessingNumber:
         rng = random.Random(42)
         for _ in range(12):
             d = random_digraph(rng, rng.randint(1, 4))
-            forced = gl.linear_guessing_number(d, 2, exhaustive=True)
+            forced = d.n - gl._min_rank_exhaustive(d, 2, gl.DEFAULT_LINEAR_BUDGET)[0]
             auto = gl.linear_guessing_number(d, 2)
-            assert forced.exact
-            assert auto.lower <= forced.value <= auto.upper
+            assert auto.lower <= forced <= auto.upper
             if auto.exact:
-                assert auto.value == forced.value
+                assert auto.value == forced
 
     def test_never_exceeds_guessing_number(self):
         rng = random.Random(43)
         for _ in range(12):
             d = random_digraph(rng, rng.randint(1, 4))
-            lin = gl.linear_guessing_number(d, 2, exhaustive=True)
+            lin = gl.linear_guessing_number(d, 2)
             g = solvers.guessing_number(d, 2)
             assert lin.value <= g.value + 1e-9
 
@@ -199,10 +197,10 @@ class TestLinearGuessingNumber:
         for _ in range(8):
             d1 = random_digraph(rng, rng.randint(1, 3))
             d2 = random_digraph(rng, rng.randint(1, 3))
-            g1 = gl.linear_guessing_number(d1, 2, exhaustive=True).value
-            g2 = gl.linear_guessing_number(d2, 2, exhaustive=True).value
+            g1 = gl.linear_guessing_number(d1, 2).value
+            g2 = gl.linear_guessing_number(d2, 2).value
             u = dg.unidirectional_union(d1, d2)
-            total = gl.linear_guessing_number(u, 2, exhaustive=True).value
+            total = gl.linear_guessing_number(u, 2).value
             assert total == g1 + g2
 
     def test_bidirectional_union_min_law(self):
@@ -210,10 +208,10 @@ class TestLinearGuessingNumber:
         for _ in range(6):
             d1 = random_digraph(rng, 2)
             d2 = random_digraph(rng, 2)
-            g1 = gl.linear_guessing_number(d1, 2, exhaustive=True).value
-            g2 = gl.linear_guessing_number(d2, 2, exhaustive=True).value
+            g1 = gl.linear_guessing_number(d1, 2).value
+            g2 = gl.linear_guessing_number(d2, 2).value
             u = dg.bidirectional_union(d1, d2)
-            total = gl.linear_guessing_number(u, 2, exhaustive=True).value
+            total = gl.linear_guessing_number(u, 2).value
             assert total == min(g1 + d2.n, g2 + d1.n)
 
     def test_acyclic_set_meets_every_strong_component(self):
@@ -253,7 +251,7 @@ class TestStoppedSearches:
     def test_bounded_lower_stop(self, p):
         for d, _ in self.digraphs(50 + p):
             full = gl._bounded_lower(d, p)
-            exact = gl.linear_guessing_number(d, p, exhaustive=True).value
+            exact = d.n - gl._min_rank_exhaustive(d, p, gl.DEFAULT_LINEAR_BUDGET)[0]
             for upper in (exact, d.n - dg.mas_exact(d).size):
                 assert gl._bounded_lower(d, p, upper) == full
 
@@ -288,8 +286,8 @@ class TestStoppedSearches:
     @pytest.mark.parametrize("p", [2, 3])
     def test_bracket_and_witness_under_every_mode(self, p):
         for d, _ in self.digraphs(80 + p):
-            for mode in (None, True, False):
-                res = gl.linear_guessing_number(d, p, exhaustive=mode)
+            for budget in (gl.DEFAULT_LINEAR_BUDGET, 0):
+                res = gl.linear_guessing_number(d, p, budget=budget)
                 assert res.lower <= res.upper
                 assert len(gl.fixed_space_basis(d, p, res.witness)) >= res.lower
 

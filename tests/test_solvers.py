@@ -169,7 +169,8 @@ class TestGuessingNumber:
             res = solvers.guessing_number(d, s)
             assert res.alpha == solvers.max_independent_set(handle(d, s)).alpha
             assert len(solvers.fixed_configurations(d, s, res.protocol)) == res.alpha
-            component_of = dg.strong_components(d).component_of
+            component_of = {
+                v: i for i, comp in enumerate(dg.strong_components(d).components) for v in comp}
             for v, (ins, table) in enumerate(zip(res.protocol.inputs, res.protocol.tables)):
                 assert all(component_of[u] == component_of[v] for u in ins)
                 assert len(table) == s ** len(ins)
@@ -933,7 +934,7 @@ class TestDifferentialSweep:
         # cosets of its fixed space colour the graph with s^(n - g_lin)
         for n in range(4):
             for d in all_digraphs(n):
-                g_lin = gf_linear.linear_guessing_number(d, 2, exhaustive=True).value
+                g_lin = gf_linear.linear_guessing_number(d, 2).value
                 guess = solvers.guessing_number(d, 2)
                 defect = solvers.information_defect(d, 2)
                 assert guess.exact and defect.exact
@@ -1045,14 +1046,14 @@ class TestBoundsReport:
     def test_strong_components_run_once(self, monkeypatch):
         rng = random.Random(31)
         calls = []
-        tarjan = dg.strong_components
-        monkeypatch.setattr(dg, "strong_components", lambda d: calls.append(d) or tarjan(d))
+        components = dg.strong_components
+        monkeypatch.setattr(dg, "strong_components", lambda d: calls.append(d) or components(d))
         for _ in range(20):
             d = random_digraph(rng, rng.randint(0, 6), p=rng.uniform(0.1, 0.6))
             calls.clear()
             rep = solvers.bounds_report(d, 2)
             assert calls == [d]
-            scc = tarjan(d)
+            scc = components(d)
             assert rep.components == scc.components
             assert dg.structure_report(d, scc) == dg.structure_report(d)
 
@@ -1101,7 +1102,7 @@ class TestBoundsReport:
                     assert rep.g_lower - 1e-9 <= g <= rep.g_upper + 1e-9, (d, s)
                     assert b.value <= rep.b_upper + 1e-9, (d, s)
                     if s in (2, 3, 5):
-                        lin = gf_linear.linear_guessing_number(d, s, exhaustive=True)
+                        lin = gf_linear.linear_guessing_number(d, s)
                         assert lin.exact, (d, s)
                         assert rep.g_linear_lower - 1e-9 <= lin.value \
                             <= rep.g_linear_upper + 1e-9, (d, s)
